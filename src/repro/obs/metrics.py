@@ -10,7 +10,10 @@ sets) with two additions the experiments need:
 - histograms combine **fixed buckets** (exported Prometheus-style) with a
   bounded **reservoir sample** (Vitter's algorithm R, deterministic seed)
   for quantile queries; below the reservoir capacity the quantiles are
-  exact.
+  exact.  An ordered copy of the reservoir is kept in step with every
+  insert and eviction, so a quantile query is an O(1) read instead of a
+  sort (callers such as the attributor's exemplar threshold query on
+  every observation).
 
 The registry is passive: instrumented components call ``inc``/``set``/
 ``observe`` only when a registry was injected, so the default
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
+from bisect import bisect_left, insort
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -145,11 +149,18 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming histogram: fixed buckets plus a quantile reservoir."""
+    """Streaming histogram: fixed buckets plus a quantile reservoir.
+
+    ``_reservoir`` holds the samples in slot order (what algorithm R
+    replaces and what :meth:`state_dict` ships); ``_ordered`` is the same
+    multiset kept sorted, updated with every append and replacement, so
+    :meth:`quantile` reads it in O(1) while each update costs one
+    ``list`` insert/delete.
+    """
 
     __slots__ = (
         "name", "labels", "_bounds", "_bucket_counts", "_count", "_sum",
-        "_reservoir", "_capacity", "_rng",
+        "_reservoir", "_ordered", "_capacity", "_rng",
     )
 
     def __init__(
@@ -169,29 +180,33 @@ class Histogram:
         self._count = 0
         self._sum = 0.0
         self._reservoir: List[float] = []
+        self._ordered: List[float] = []
         self._capacity = reservoir_size
         # Deterministic reservoir: runs are reproducible for a fixed
         # observation order regardless of global random state.
         self._rng = random.Random(0x5EED ^ zlib.crc32(name.encode("utf-8")))
 
     def observe(self, value: float) -> None:
-        """Fold one sample into buckets, sum, and the reservoir."""
+        """Fold one sample into buckets, sum, and the reservoir.
+
+        NaN is rejected (``ValueError``): it has no bucket and no place
+        in the ordered reservoir view.
+        """
         value = float(value)
+        if math.isnan(value):
+            raise ValueError(f"histogram {self.name} cannot observe NaN")
         self._count += 1
         self._sum += value
-        lo, hi = 0, len(self._bounds)
-        while lo < hi:  # first bound >= value (bisect_left on bounds)
-            mid = (lo + hi) // 2
-            if self._bounds[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._bucket_counts[lo] += 1
+        self._bucket_counts[bisect_left(self._bounds, value)] += 1
         if len(self._reservoir) < self._capacity:
             self._reservoir.append(value)
+            insort(self._ordered, value)
         else:
             slot = self._rng.randrange(self._count)
             if slot < self._capacity:
+                ordered = self._ordered
+                del ordered[bisect_left(ordered, self._reservoir[slot])]
+                insort(ordered, value)
                 self._reservoir[slot] = value
 
     @property
@@ -228,9 +243,9 @@ class Histogram:
         of observations is within the reservoir capacity."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-        if not self._reservoir:
+        ordered = self._ordered
+        if not ordered:
             return math.nan
-        ordered = sorted(self._reservoir)
         if len(ordered) == 1:
             return ordered[0]
         rank = q * (len(ordered) - 1)
@@ -257,7 +272,8 @@ class Histogram:
         Bucket counts, totals, and sums add; the reservoir is topped up
         deterministically (first-come first-kept) until capacity, so
         quantiles stay exact while the combined sample count fits.
-        Merging histograms with different bucket bounds raises.
+        Merging histograms with different bucket bounds, or a reservoir
+        holding NaN, raises before anything is folded in.
         """
         bounds = tuple(float(b) for b in state["bounds"])
         if bounds != self._bounds:
@@ -265,14 +281,17 @@ class Histogram:
                 f"histogram {self.name!r} bucket bounds differ: "
                 f"{bounds} vs {self._bounds}"
             )
+        room = max(self._capacity - len(self._reservoir), 0)
+        kept = [float(v) for v in state["reservoir"][:room]]
+        if any(math.isnan(v) for v in kept):
+            raise ValueError(f"histogram {self.name!r} reservoir holds NaN")
         for i, n in enumerate(state["bucket_counts"]):
             self._bucket_counts[i] += int(n)
         self._count += int(state["count"])
         self._sum += float(state["sum"])
-        for value in state["reservoir"]:
-            if len(self._reservoir) >= self._capacity:
-                break
-            self._reservoir.append(float(value))
+        self._reservoir.extend(kept)
+        for value in kept:
+            insort(self._ordered, value)
 
 
 class MetricsRegistry:

@@ -17,6 +17,7 @@ The contracts under test, matching the module's acceptance criteria:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from repro.obs.attribution import (
 from repro.obs.attribution import _worker_from_track
 from repro.obs.audit import AuditAlert, GuaranteeAuditor
 from repro.obs.exporters import write_events_jsonl
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import RecordingTracer
 from repro.selectors import GreedyDeadlineSelector, JellyfishPlusSelector
 from repro.sim.monitor import OracleLoadMonitor
@@ -377,6 +378,50 @@ class TestExemplars:
         for c in chains:
             assert c["queue_wait_ms"] + c["service_ms"] == c["response_ms"]
             assert c["threshold_ms"] <= c["response_ms"]
+
+    @pytest.mark.parametrize("quantile", [0.5, 0.99])
+    def test_past_reservoir_matches_sort_per_call(self, quantile):
+        # 5,000 completions overflow the 4,096-sample reservoir, so later
+        # thresholds are read after algorithm-R replacements; a capacity
+        # above the completion count retains every admitted chain, which
+        # pins each threshold and each admit decision.
+        class SortingHistogram(Histogram):
+            """Quantile by a fresh sort of the slot-order reservoir."""
+
+            __slots__ = ()
+
+            def quantile(self, q):
+                ordered = sorted(self._reservoir)
+                if len(ordered) == 1:
+                    return ordered[0]
+                rank = q * (len(ordered) - 1)
+                lo, hi = math.floor(rank), math.ceil(rank)
+                if lo == hi:
+                    return ordered[lo]
+                frac = rank - lo
+                return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+        def make():
+            return LatencyAttributor(
+                slo_ms=60.0,
+                exemplar_quantile=quantile,
+                exemplar_capacity=5_000,
+            )
+
+        fast, oracle = make(), make()
+        oracle._response_hist = SortingHistogram("attribution_response_ms")
+        latencies = np.random.default_rng(11).lognormal(3.0, 0.8, size=5_000)
+        for attributor in (fast, oracle):
+            for i, lat in enumerate(latencies):
+                attributor.observe_completion(
+                    i, i % 4, "m", float(lat), lat <= 60.0, t_ms=float(i)
+                )
+        assert fast._response_hist.count == 5_000
+        assert fast._exemplars == oracle._exemplars
+        assert any(chain["query"] > 4_096 for _, _, chain in fast._exemplars)
+        assert repr(fast.to_json_dict()["exemplars"]) == repr(
+            oracle.to_json_dict()["exemplars"]
+        )
 
     def test_no_exemplars_before_warmup(self):
         attributor = LatencyAttributor(exemplar_warmup=1000)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -116,6 +118,25 @@ class TestHistogram:
     def test_buckets_must_be_nonempty(self):
         with pytest.raises(ValueError):
             Histogram("lat", buckets=())
+
+    def test_nan_rejected(self):
+        # NaN compares false with every bound, so it has no bucket and no
+        # place in the ordered reservoir view.
+        h = Histogram("lat", buckets=(1.0, 10.0))
+        h.observe(5.0)
+        before = h.state_dict()
+        with pytest.raises(ValueError, match="NaN"):
+            h.observe(math.nan)
+        assert h.state_dict() == before
+
+    def test_merge_nan_reservoir_rejected(self):
+        h = Histogram("lat", buckets=(1.0, 10.0))
+        h.observe(5.0)
+        before = h.state_dict()
+        state = dict(before, reservoir=[2.0, math.nan])
+        with pytest.raises(ValueError, match="NaN"):
+            h.merge_state(state)
+        assert h.state_dict() == before
 
 
 class TestMetricsRegistry:
@@ -235,3 +256,113 @@ class TestTailQuantiles:
         assert (
             a.to_json_dict()["exemplars"] == b.to_json_dict()["exemplars"]
         )
+
+
+class _ListOnlyHistogram(Histogram):
+    """Reference reservoir: the slot-order list alone, with the
+    hand-rolled bucket search and a full sort on every quantile query.
+    The ordered view must leave every observable value identical."""
+
+    __slots__ = ()
+
+    def observe(self, value):
+        value = float(value)
+        self._count += 1
+        self._sum += value
+        lo, hi = 0, len(self._bounds)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._bounds[mid] < value:
+                lo = mid + 1
+            else:
+                hi = mid
+        self._bucket_counts[lo] += 1
+        if len(self._reservoir) < self._capacity:
+            self._reservoir.append(value)
+        else:
+            slot = self._rng.randrange(self._count)
+            if slot < self._capacity:
+                self._reservoir[slot] = value
+
+    def merge_state(self, state):
+        for i, n in enumerate(state["bucket_counts"]):
+            self._bucket_counts[i] += int(n)
+        self._count += int(state["count"])
+        self._sum += float(state["sum"])
+        for value in state["reservoir"]:
+            if len(self._reservoir) >= self._capacity:
+                break
+            self._reservoir.append(float(value))
+
+
+def _oracle_quantile(reservoir, q):
+    """Linear interpolation over a fresh sort of the slot-order list."""
+    ordered = sorted(reservoir)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = q * (len(ordered) - 1)
+    lo, hi = math.floor(rank), math.ceil(rank)
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 10.0, 100.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+_OPS = st.one_of(
+    st.tuples(st.just("observe"), _SAMPLES),
+    st.tuples(st.just("merge"), st.lists(_SAMPLES, max_size=8)),
+)
+
+
+class TestOrderedReservoir:
+    """The sorted view kept beside the reservoir answers every quantile
+    exactly as a sort of the slot-order reservoir would, through appends,
+    algorithm-R replacements and merges."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 64),
+        ops=st.lists(_OPS, min_size=1, max_size=200),
+    )
+    def test_quantiles_match_sorted_reservoir(self, capacity, ops):
+        buckets = (1.0, 10.0)
+        h = Histogram("lat", buckets=buckets, reservoir_size=capacity)
+        ref = _ListOnlyHistogram("lat", buckets=buckets, reservoir_size=capacity)
+        for kind, arg in ops:
+            if kind == "observe":
+                h.observe(arg)
+                ref.observe(arg)
+            else:
+                donor = Histogram("donor", buckets=buckets)
+                for value in arg:
+                    donor.observe(value)
+                h.merge_state(donor.state_dict())
+                ref.merge_state(donor.state_dict())
+            state = h.state_dict()
+            # Slot order, buckets and sums (incl. the sign of zeros) are
+            # exactly the reference's.
+            assert repr(state) == repr(ref.state_dict())
+            reservoir = state["reservoir"]
+            n = len(reservoir)
+            if n == 0:  # a merge of an empty snapshot
+                assert math.isnan(h.quantile(0.5))
+                continue
+            qs = {0.0, 0.5, 0.99, 1.0}
+            if n > 1:
+                qs.update(i / (n - 1) for i in range(n))
+            for q in sorted(qs):
+                assert h.quantile(q) == _oracle_quantile(reservoir, q)
+
+    def test_bucket_index_matches_hand_rolled_search(self):
+        values = [-math.inf, -1.0, -0.0, 0.0, 1.0, 1.0 + 1e-12, 2.5,
+                  9999.0, 10000.0, 10000.5, math.inf]
+        h = Histogram("lat")
+        ref = _ListOnlyHistogram("lat")
+        for value in values:
+            h.observe(value)
+            ref.observe(value)
+        assert h.cumulative_buckets() == ref.cumulative_buckets()
