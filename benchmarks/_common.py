@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
+import scipy
 
 from repro.experiments.scale import ExperimentScale
 
@@ -25,6 +29,7 @@ __all__ = [
     "bench_workers",
     "bench_use_cache",
     "emit",
+    "host_metadata",
     "points_payload",
     "cached_fig5",
     "cached_fig6",
@@ -71,6 +76,16 @@ def bench_workers() -> int:
     if env:
         return max(int(env), 1)
     return max(os.cpu_count() or 1, 2)
+
+
+def host_metadata() -> Dict[str, object]:
+    """CPU count and interpreter/library versions, for BENCH payloads."""
+    return {
+        "nproc": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
 
 
 def bench_use_cache() -> bool:

@@ -32,7 +32,13 @@ import time
 
 import pytest
 
-from benchmarks._common import bench_scale, bench_use_cache, bench_workers, emit
+from benchmarks._common import (
+    bench_scale,
+    bench_use_cache,
+    bench_workers,
+    emit,
+    host_metadata,
+)
 from repro.cache import PolicyCache
 from repro.core.config import WorkerMDPConfig
 from repro.core.generator import PolicyGenerator
@@ -177,6 +183,7 @@ def test_policy_bank_speedups(tmp_path):
         "policy_bank",
         "\n".join(lines),
         data={
+            "host": host_metadata(),
             "loads_qps": LOADS,
             "fld_resolution": config.fld_resolution,
             "workers": workers,

@@ -10,8 +10,11 @@ one batched tensor program instead of ``L`` independent solves:
 - **kernel construction** batches the equilibrium-renewal quadrature
   across the load axis (the gammainc/CDF evaluations are elementwise in
   the load-dependent scale, while the §4.4 window geometry depends only
-  on grid × latency), then seeds each cell's builder caches so per-cell
-  assembly is a pure gather;
+  on grid × latency) and across latencies (the k-fold CDFs run once per
+  *distinct* remaining time ``l - u``, which for unclipped windows
+  depends only on the grid, then are gathered back per latency with a
+  C-contiguous ``np.take``), then seeds each cell's builder caches so
+  per-cell assembly is a pure gather;
 - **value iteration** runs one batched Bellman sweep per iteration over
   ``(L, ...)`` layouts with per-load convergence masks — converged loads
   freeze (their matmuls are skipped and their value slices stop
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +61,9 @@ from repro.core.solvers import SolveStats
 from repro.core.tensor import TensorizedWorkerMDP
 from repro.core.transitions import (
     DeterministicGaps,
-    EquilibriumRenewalKernelBuilder,
     GammaGaps,
-    _service_windows,
+    _renewal_arrival_counts,
+    _renewal_service_rows,
     gaps_for_distribution,
 )
 from repro.errors import ConfigurationError, SolverError
@@ -160,8 +163,8 @@ class _SeededCellMDP(TensorizedWorkerMDP):
 
     The builder caches rows/counts by ``round(latency, 9)``; installing
     the batched-construction results before row assembly turns every
-    ``service_row``/``arrival_counts`` call into a cache hit, so the cell
-    builds without re-running any quadrature.
+    ``service_rows``/``arrival_counts`` lookup into a cache hit, so the
+    cell builds without re-running any quadrature.
     """
 
     def __init__(self, config: WorkerMDPConfig, seed: _KernelSeed) -> None:
@@ -174,23 +177,6 @@ class _SeededCellMDP(TensorizedWorkerMDP):
         return super()._build_split_rows()
 
 
-def _count_pmf_stack(stack, remaining: np.ndarray, n_max: int) -> np.ndarray:
-    """Load-batched ``EquilibriumRenewalKernelBuilder._count_pmf_at``.
-
-    Returns ``(L, n_max, remaining.size)``; slice ``[i]`` is bitwise
-    identical to the per-load call (the k-fold CDFs and the adjacent
-    differences are elementwise per load).
-    """
-    loads = stack.mean_ms.size
-    cdfs = np.empty((loads, n_max, remaining.size), dtype=np.float64)
-    for k in range(1, n_max + 1):
-        cdfs[:, k - 1] = stack.kfold_cdf(k, remaining)
-    pmf = np.empty_like(cdfs)
-    pmf[:, 0] = 1.0 - cdfs[:, 0]
-    pmf[:, 1:] = cdfs[:, :-1] - cdfs[:, 1:]
-    return np.clip(pmf, 0.0, 1.0)
-
-
 def _stacked_kernel_seeds(
     template: TensorizedWorkerMDP, configs: Sequence[WorkerMDPConfig]
 ) -> Optional[List[_KernelSeed]]:
@@ -199,12 +185,18 @@ def _stacked_kernel_seeds(
     Only the ``ROUND_ROBIN_MARGINAL`` view with a single gap family
     (shared-shape Gamma, or deterministic) batches; other views return
     ``None`` and each cell builds its kernels independently (stacked
-    Bellman sweeps still apply).  The per-latency math mirrors
-    ``EquilibriumRenewalKernelBuilder.service_row``/``arrival_counts``
-    with all elementwise steps batched over loads and every reduction
-    (the window einsum, the count matvec, row sums) invoked per load on
-    per-load-shaped operands, so each seeded row is bitwise identical to
-    what the cell's own builder would have computed.
+    Bellman sweeps still apply).  The rows come from the cells' own
+    builder code (``_renewal_service_rows``/``_renewal_arrival_counts``)
+    run on a load stack of gaps: every elementwise step batches over
+    loads, and every reduction (the window einsum, the count matvec, row
+    sums) runs per load on per-load-shaped operands, so each seeded row
+    is bitwise identical to what the cell's own builder would compute.
+    As in the builder, the k-fold CDFs are evaluated once over the
+    distinct remaining times of all latencies — for an unclipped window
+    the remaining time depends only on the slack grid, so latencies share
+    most of them — and gathered back per latency with ``np.take``, which
+    keeps the einsum operand C-contiguous (a ``table[..., idx]`` fancy
+    index would not, and the einsum would sum in a different order).
     """
     if template.config.view is not TransitionView.ROUND_ROBIN_MARGINAL:
         return None
@@ -230,10 +222,7 @@ def _stacked_kernel_seeds(
         return None
 
     grid = template.grid
-    space = template.space
-    n_max = space.max_queue
-    j_count = len(grid)
-    loads = len(configs)
+    n_max = template.max_queue
     grid_values = grid.as_array()
 
     # Unique latencies in the builders' cache-key space, keeping the
@@ -254,66 +243,18 @@ def _stacked_kernel_seeds(
                     continue
                 count_lats.setdefault(round(lat, 9), lat)
 
-    quad = EquilibriumRenewalKernelBuilder._QUAD_POINTS
-    nodes, weights = np.polynomial.legendre.leggauss(quad)
-    nodes_c, weights_c = np.polynomial.legendre.leggauss(
-        EquilibriumRenewalKernelBuilder._COUNT_QUAD_POINTS
-    )
-
-    service_rows: Dict[float, np.ndarray] = {}
-    for key, lat in service_lats.items():
-        rows = np.zeros((loads, space.size), dtype=np.float64)
-        rows[:, space.EMPTY] = 1.0 - stack.equilibrium_cdf(lat)
-        lo, width, _ = _service_windows(grid, lat)
-        live = np.nonzero(width > 0.0)[0]
-        if live.size:
-            half = 0.5 * width[live]
-            u = lo[live][:, None] + half[:, None] * (nodes[None, :] + 1.0)
-            w = weights[None, :] * half[:, None]
-            f_e = stack.equilibrium_density(u)  # (L, live, Q)
-            pmf = _count_pmf_stack(stack, (lat - u).ravel(), n_max)
-            wfe = w * f_e
-            for i in range(loads):
-                occupied = rows[i, 2:].reshape(n_max, j_count)
-                occupied[:, live] = np.einsum(
-                    "nlq,lq->nl",
-                    pmf[i].reshape(n_max, live.size, quad),
-                    wfe[i],
-                )
-        totals = rows.sum(axis=1)
-        over = totals > 1.0
-        if over.any():
-            rows[over] /= totals[over, None]
-            totals[over] = 1.0
-        rows[:, space.FULL] = np.maximum(0.0, 1.0 - totals)
-        service_rows[key] = rows
-
-    count_rows: Dict[float, np.ndarray] = {}
-    for key, lat in count_lats.items():
-        counts = np.zeros((loads, n_max + 1), dtype=np.float64)
-        counts[:, 0] = 1.0 - stack.equilibrium_cdf(lat)
-        if lat > 0.0:
-            half = 0.5 * lat
-            u = half * (nodes_c + 1.0)
-            w = weights_c * half
-            f_e = stack.equilibrium_density(u)  # (L, Qc)
-            pmf = _count_pmf_stack(stack, lat - u, n_max)  # (L, N, Qc)
-            wfe = w * f_e
-            for i in range(loads):
-                counts[i, 1:] = pmf[i] @ wfe[i]
-        np.clip(counts, 0.0, 1.0, out=counts)
-        totals = counts.sum(axis=1)
-        over = totals > 1.0
-        if over.any():
-            counts[over] /= totals[over, None]
-        count_rows[key] = counts
+    service_rows = _renewal_service_rows(grid, stack, n_max, service_lats)
+    count_rows = {
+        key: _renewal_arrival_counts(stack, n_max, lat)
+        for key, lat in count_lats.items()
+    }
 
     return [
         _KernelSeed(
             service_rows={k: v[i] for k, v in service_rows.items()},
             arrival_counts={k: v[i] for k, v in count_rows.items()},
         )
-        for i in range(loads)
+        for i in range(len(configs))
     ]
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -106,6 +107,17 @@ class TimeGrid:
     def as_array(self) -> np.ndarray:
         """Grid values as a float array (copy)."""
         return np.asarray(self.values, dtype=np.float64)
+
+    @cached_property
+    def uppers(self) -> np.ndarray:
+        """Read-only array of :meth:`upper` for every bin, built once.
+
+        Kernel construction reads the bin bounds once per service latency;
+        caching them skips a Python call per bin per latency.
+        """
+        uppers = np.asarray(self.values[1:] + (self.slo_ms,), dtype=np.float64)
+        uppers.flags.writeable = False
+        return uppers
 
 
 def model_based_grid(

@@ -261,13 +261,8 @@ class WorkerMDP:
     def _build_split_rows(self) -> np.ndarray:
         """(M, N, S) full-drain transition rows under the split view."""
         assert self._split is not None
-        rows = np.zeros(
-            (self._num_models, self._max_queue, self._space.size), dtype=np.float64
-        )
-        for m in range(self._num_models):
-            for n in range(1, self._max_queue + 1):
-                rows[m, n - 1] = self._split.service_row(self._latency[m, n - 1])
-        return rows
+        rows = self._split.service_rows(self._latency.ravel())
+        return rows.reshape(self._num_models, self._max_queue, self._space.size)
 
     def _build_exact_rows(self) -> np.ndarray:
         """(M, N, K, S) full-drain rows per phase under the exact view."""

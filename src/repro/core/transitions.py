@@ -40,7 +40,8 @@ with the conditional per-worker rate of Gupta et al. [18]; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,9 +120,8 @@ def _service_windows(
     ``[T_j' + l - SLO, T_{j'+1} + l - SLO)`` clamped to ``[0, l]``.
     """
     values = grid.as_array()
-    uppers = np.array([grid.upper(j) for j in range(len(grid))])
     lo = np.clip(values + latency_ms - grid.slo_ms, 0.0, latency_ms)
-    hi = np.clip(uppers + latency_ms - grid.slo_ms, 0.0, latency_ms)
+    hi = np.clip(grid.uppers + latency_ms - grid.slo_ms, 0.0, latency_ms)
     # Bin 0 also absorbs *negative* slack: when the service outlasts the
     # SLO (a forced late action, §4.3.1), arrivals in [0, l - SLO) have
     # already missed their deadlines and quantize to slack 0.
@@ -198,6 +198,13 @@ class SplitViewKernelBuilder:
         row[space.FULL] = max(0.0, 1.0 - total)
         self._service_cache[key] = row
         return row
+
+    def service_rows(self, latencies: Sequence[float]) -> np.ndarray:
+        """``(len(latencies), S)`` stack of :meth:`service_row` results."""
+        out = np.empty((len(latencies), self._space.size), dtype=np.float64)
+        for i, latency_ms in enumerate(latencies):
+            out[i] = self.service_row(latency_ms)
+        return out
 
     # ------------------------------------------------------------------
     # Partial-drain rows (variable batching, b < n)
@@ -369,6 +376,143 @@ def gaps_for_distribution(distribution: ArrivalDistribution) -> RenewalGaps:
     )
 
 
+#: Gauss-Legendre points per slack window.
+_QUAD_POINTS = 8
+#: Gauss-Legendre points for whole-service count integrals.
+_COUNT_QUAD_POINTS = 64
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(points: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre ``(nodes, weights)`` on ``[-1, 1]``, computed once
+    and shared read-only by every caller."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _window_nodes(
+    grid: TimeGrid, latency_ms: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature geometry of one service latency's live slack windows.
+
+    Returns ``(live, half, u)``: the next-slack bins whose first-arrival
+    window has positive width, their half-widths, and the ``(live, Q)``
+    Gauss-Legendre first-arrival times ``u`` inside each window.
+    """
+    nodes, _ = _gauss_legendre(_QUAD_POINTS)
+    lo, width, _ = _service_windows(grid, latency_ms)
+    live = np.nonzero(width > 0.0)[0]
+    half = 0.5 * width[live]
+    u = lo[live][:, None] + half[:, None] * (nodes[None, :] + 1.0)
+    return live, half, u
+
+
+def _count_pmf(gaps, remaining: np.ndarray, n_max: int) -> np.ndarray:
+    """``pmf[..., a, i] = P[a further arrivals in remaining[i]]`` for
+    ``a = 0..n_max - 1`` (arrivals after the first one).
+
+    ``gaps`` is a :class:`RenewalGaps` or a load-batched stack of them
+    whose ``kfold_cdf`` prepends a load axis; the leading axes of the
+    result are those of ``kfold_cdf``.  Every step is elementwise in
+    ``remaining``, so column ``i`` depends on ``remaining[i]`` alone.
+    """
+    first = gaps.kfold_cdf(1, remaining)
+    pmf = np.empty(first.shape[:-1] + (n_max, remaining.size), dtype=np.float64)
+    pmf[..., 0, :] = first
+    for k in range(2, n_max + 1):
+        pmf[..., k - 1, :] = gaps.kfold_cdf(k, remaining)
+    # CDFs -> adjacent differences in place, top row first so each
+    # subtraction still reads an undifferenced CDF below it.
+    for a in range(n_max - 1, 0, -1):
+        np.subtract(pmf[..., a - 1, :], pmf[..., a, :], out=pmf[..., a, :])
+    np.subtract(1.0, pmf[..., 0, :], out=pmf[..., 0, :])
+    return np.clip(pmf, 0.0, 1.0, out=pmf)
+
+
+def _renormalize(rows: np.ndarray) -> np.ndarray:
+    """Scale every row whose mass exceeds 1 back to 1, in place.
+
+    Quadrature overshoot is only possible for discontinuous gap densities
+    (e.g. deterministic gaps).  Returns the per-row totals after scaling.
+    """
+    totals = rows.sum(axis=-1)
+    over = totals > 1.0
+    np.divide(rows, totals[..., None], out=rows, where=over[..., None])
+    return np.where(over, 1.0, totals)
+
+
+def _renewal_service_rows(
+    grid: TimeGrid, gaps, max_queue: int, latencies: Dict[float, float]
+) -> Dict[float, np.ndarray]:
+    """Full-drain rows for ``latencies`` (cache key -> raw latency).
+
+    Each value has shape ``lead + (S,)``, where ``lead`` is ``()`` for a
+    :class:`RenewalGaps` and ``(L,)`` for a load stack.  The k-fold CDF
+    pass runs once over the distinct remaining times of all latencies
+    (see :class:`EquilibriumRenewalKernelBuilder`); the einsum,
+    renormalisation and FULL fill then run per latency and per load on
+    the same operand shapes and strides as a one-latency build.
+    """
+    if not latencies:
+        return {}
+    space = StateSpace(max_queue=max_queue, grid_size=len(grid))
+    _, weights = _gauss_legendre(_QUAD_POINTS)
+    # The window geometry is cheap and deterministic, so it is rebuilt per
+    # latency below instead of being held for every latency at once.
+    distinct = np.unique(
+        np.concatenate(
+            [(lat - _window_nodes(grid, lat)[2]).ravel() for lat in latencies.values()]
+        )
+    )
+    table = _count_pmf(gaps, distinct, max_queue)  # lead + (N, U)
+
+    out: Dict[float, np.ndarray] = {}
+    for key, lat in latencies.items():
+        empty = 1.0 - gaps.equilibrium_cdf(lat)
+        rows = np.zeros(np.shape(empty) + (space.size,), dtype=np.float64)
+        rows[..., space.EMPTY] = empty
+        live, half, u = _window_nodes(grid, lat)
+        if live.size:
+            wfe = (weights[None, :] * half[:, None]) * gaps.equilibrium_density(u)
+            # np.take keeps the gathered pmf C-contiguous, so its reshape is
+            # the same view a one-latency build would einsum over.
+            idx = np.searchsorted(distinct, (lat - u).ravel())
+            pmf = np.take(table, idx, axis=-1)  # lead + (N, live * Q)
+            for i in np.ndindex(rows.shape[:-1]):
+                occupied = space.occupied_view(rows[i])
+                occupied[:, live] = np.einsum(
+                    "nlq,lq->nl",
+                    pmf[i].reshape(max_queue, live.size, _QUAD_POINTS),
+                    wfe[i],
+                )
+        totals = _renormalize(rows)
+        rows[..., space.FULL] = np.maximum(0.0, 1.0 - totals)
+        out[key] = rows
+    return out
+
+
+def _renewal_arrival_counts(gaps, max_queue: int, latency_ms: float) -> np.ndarray:
+    """``P[k arrivals during latency_ms]`` for ``k = 0..max_queue``, shape
+    ``lead + (max_queue + 1,)`` (``lead`` as in
+    :func:`_renewal_service_rows`)."""
+    empty = 1.0 - gaps.equilibrium_cdf(latency_ms)
+    counts = np.zeros(np.shape(empty) + (max_queue + 1,), dtype=np.float64)
+    counts[..., 0] = empty
+    if latency_ms > 0.0:
+        nodes_c, weights_c = _gauss_legendre(_COUNT_QUAD_POINTS)
+        half = 0.5 * latency_ms
+        u = half * (nodes_c + 1.0)
+        wfe = (weights_c * half) * gaps.equilibrium_density(u)
+        pmf = _count_pmf(gaps, latency_ms - u, max_queue)  # lead + (N, Qc)
+        for i in np.ndindex(counts.shape[:-1]):
+            counts[i][1:] = pmf[i] @ wfe[i]
+    np.clip(counts, 0.0, 1.0, out=counts)
+    _renormalize(counts)
+    return counts
+
+
 class EquilibriumRenewalKernelBuilder:
     """Transition rows for a worker whose arrivals form a renewal process.
 
@@ -391,12 +535,18 @@ class EquilibriumRenewalKernelBuilder:
     Gauss-Legendre quadrature per window (exact window geometry, smooth
     integrands).  For exponential gaps this reproduces the Poisson split
     view exactly (memorylessness), which the test suite asserts.
-    """
 
-    #: Gauss-Legendre points per slack window.
-    _QUAD_POINTS = 8
-    #: Gauss-Legendre points for whole-service count integrals.
-    _COUNT_QUAD_POINTS = 64
+    Remaining times are deduplicated across latencies.  For a window the
+    latency does not clip, ``l - u = SLO - T_j' - half * (node + 1)``
+    depends only on the slack grid, so the quadrature points of different
+    latencies mostly land on the same floats.  :meth:`service_rows`
+    therefore evaluates the ``max_queue`` k-fold CDFs once over the
+    ``np.unique`` remaining times of every uncached latency and gathers
+    each latency's columns back.  The CDFs are elementwise, so the gather
+    reproduces the per-latency values exactly; it must use ``np.take``
+    (C-contiguous), not ``table[:, idx]`` (F-ordered), or the einsum
+    reduces over different strides and rows change in the last ulp.
+    """
 
     def __init__(
         self,
@@ -409,66 +559,37 @@ class EquilibriumRenewalKernelBuilder:
         self._space = StateSpace(max_queue=max_queue, grid_size=len(grid))
         self._service_cache: Dict[float, np.ndarray] = {}
         self._count_cache: Dict[float, np.ndarray] = {}
-        nodes, weights = np.polynomial.legendre.leggauss(self._QUAD_POINTS)
-        self._nodes = nodes
-        self._weights = weights
-        nodes_c, weights_c = np.polynomial.legendre.leggauss(self._COUNT_QUAD_POINTS)
-        self._nodes_c = nodes_c
-        self._weights_c = weights_c
 
     @property
     def space(self) -> StateSpace:
         """The state space the kernels are laid out over."""
         return self._space
 
-    def _count_pmf_at(self, remaining: np.ndarray) -> np.ndarray:
-        """``pmf[a, i] = P[a further arrivals in remaining[i]]`` for
-        ``a = 0..max_queue - 1`` (arrivals after the first one)."""
-        n_max = self._space.max_queue
-        cdfs = np.empty((n_max, remaining.size), dtype=np.float64)
-        for k in range(1, n_max + 1):
-            cdfs[k - 1] = self._gaps.kfold_cdf(k, remaining)
-        pmf = np.empty_like(cdfs)
-        pmf[0] = 1.0 - cdfs[0]
-        pmf[1:] = cdfs[:-1] - cdfs[1:]
-        return np.clip(pmf, 0.0, 1.0)
+    def service_rows(self, latencies: Sequence[float]) -> np.ndarray:
+        """``(len(latencies), S)`` full-drain rows, one per latency.
+
+        Rows are cached by ``round(latency, 9)``; the first raw latency
+        seen for a key defines its row.  All uncached latencies share one
+        deduplicated k-fold CDF pass (see class docstring).
+        """
+        keys = [round(float(lat), 9) for lat in latencies]
+        pending: Dict[float, float] = {}
+        for key, lat in zip(keys, latencies):
+            if key not in self._service_cache:
+                pending.setdefault(key, float(lat))
+        self._service_cache.update(
+            _renewal_service_rows(
+                self._grid, self._gaps, self._space.max_queue, pending
+            )
+        )
+        out = np.empty((len(keys), self._space.size), dtype=np.float64)
+        for i, key in enumerate(keys):
+            out[i] = self._service_cache[key]
+        return out
 
     def service_row(self, latency_ms: float) -> np.ndarray:
         """Transition row after a full drain taking ``latency_ms``."""
-        key = round(float(latency_ms), 9)
-        cached = self._service_cache.get(key)
-        if cached is not None:
-            return cached
-
-        space = self._space
-        row = np.zeros(space.size, dtype=np.float64)
-        row[space.EMPTY] = 1.0 - self._gaps.equilibrium_cdf(latency_ms)
-
-        lo, width, _ = _service_windows(self._grid, latency_ms)
-        occupied = space.occupied_view(row)
-        live = np.nonzero(width > 0.0)[0]
-        if live.size:
-            # Gauss-Legendre nodes for every live window at once: (L, Q).
-            half = 0.5 * width[live]
-            u = lo[live][:, None] + half[:, None] * (self._nodes[None, :] + 1.0)
-            w = self._weights[None, :] * half[:, None]
-            f_e = self._gaps.equilibrium_density(u)
-            # (N, L, Q) count pmf over the remaining time after the first
-            # arrival, flattened so each k-fold CDF is one vectorized call.
-            pmf = self._count_pmf_at((latency_ms - u).ravel()).reshape(
-                space.max_queue, live.size, self._QUAD_POINTS
-            )
-            occupied[:, live] = np.einsum("nlq,lq->nl", pmf, w * f_e)
-
-        total = row.sum()
-        if total > 1.0:
-            # Quadrature overshoot (only possible for discontinuous gap
-            # densities, e.g. deterministic gaps): renormalize.
-            row /= total
-            total = 1.0
-        row[space.FULL] = max(0.0, 1.0 - total)
-        self._service_cache[key] = row
-        return row
+        return self.service_rows([latency_ms])[0]
 
     def arrival_counts(self, latency_ms: float) -> np.ndarray:
         """``P[k arrivals during latency_ms]`` for ``k = 0..max_queue``."""
@@ -476,20 +597,9 @@ class EquilibriumRenewalKernelBuilder:
         cached = self._count_cache.get(key)
         if cached is not None:
             return cached
-        n_max = self._space.max_queue
-        counts = np.zeros(n_max + 1, dtype=np.float64)
-        counts[0] = 1.0 - self._gaps.equilibrium_cdf(latency_ms)
-        if latency_ms > 0.0:
-            half = 0.5 * latency_ms
-            u = half * (self._nodes_c + 1.0)
-            w = self._weights_c * half
-            f_e = self._gaps.equilibrium_density(u)
-            pmf = self._count_pmf_at(latency_ms - u)  # (N, Qc)
-            counts[1:] = pmf @ (w * f_e)
-        np.clip(counts, 0.0, 1.0, out=counts)
-        total = counts.sum()
-        if total > 1.0:
-            counts /= total  # quadrature overshoot; see service_row
+        counts = _renewal_arrival_counts(
+            self._gaps, self._space.max_queue, latency_ms
+        )
         self._count_cache[key] = counts
         return counts
 

@@ -2,13 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.mdp as mdp_module
 from repro.arrivals.distributions import (
     DeterministicArrivals,
     GammaArrivals,
     PoissonArrivals,
 )
-from repro.core.discretization import fixed_length_grid
+from repro.core.bank import _stacked_kernel_seeds
+from repro.core.config import (
+    BatchingMode,
+    Discretization,
+    TransitionView,
+    WorkerMDPConfig,
+)
+from repro.core.discretization import fixed_length_grid, model_based_grid
+from repro.core.mdp import WorkerMDP
+from repro.core.tensor import TensorizedWorkerMDP
 from repro.core.transitions import (
     DeterministicGaps,
     EquilibriumRenewalKernelBuilder,
@@ -18,6 +30,8 @@ from repro.core.transitions import (
     StateSpace,
     gaps_for_distribution,
 )
+from repro.profiles.latency import LinearLatencyModel
+from repro.profiles.models import ModelProfile, ModelSet
 
 SLO = 120.0
 GRID = fixed_length_grid(SLO, 12)
@@ -268,3 +282,332 @@ class TestExactRoundRobinKernel:
         mixed = exact.service_rows_by_phase(latency).mean(axis=0)
         row = renewal.service_row(latency)
         assert np.allclose(mixed, row, atol=5e-3)
+
+
+# ----------------------------------------------------------------------
+# Bitwise oracle for the renewal kernel
+# ----------------------------------------------------------------------
+# A test-local per-latency quadrature: the k-fold CDFs run once per service
+# latency over that latency's own remaining times, with no cross-latency
+# deduplication.  The loop, tensor and stacked
+# backends all share the production builder, so only an independent copy
+# can catch a deduplication or gather bug that shifts every backend alike.
+_ORACLE_QUAD = 8
+_ORACLE_COUNT_QUAD = 64
+
+
+def _oracle_windows(grid, latency_ms):
+    values = grid.as_array()
+    uppers = np.array([grid.upper(j) for j in range(len(grid))])
+    lo = np.clip(values + latency_ms - grid.slo_ms, 0.0, latency_ms)
+    hi = np.clip(uppers + latency_ms - grid.slo_ms, 0.0, latency_ms)
+    lo[0] = 0.0
+    hi = np.maximum(hi, lo)
+    return lo, hi - lo
+
+
+def _oracle_count_pmf(gaps, remaining, n_max):
+    cdfs = np.empty((n_max, remaining.size), dtype=np.float64)
+    for k in range(1, n_max + 1):
+        cdfs[k - 1] = gaps.kfold_cdf(k, remaining)
+    pmf = np.empty_like(cdfs)
+    pmf[0] = 1.0 - cdfs[0]
+    pmf[1:] = cdfs[:-1] - cdfs[1:]
+    return np.clip(pmf, 0.0, 1.0)
+
+
+def _oracle_nodes(grid, latency_ms):
+    nodes, weights = np.polynomial.legendre.leggauss(_ORACLE_QUAD)
+    lo, width = _oracle_windows(grid, latency_ms)
+    live = np.nonzero(width > 0.0)[0]
+    half = 0.5 * width[live]
+    u = lo[live][:, None] + half[:, None] * (nodes[None, :] + 1.0)
+    w = weights[None, :] * half[:, None]
+    return live, u, w
+
+
+def _oracle_service_row(grid, gaps, n_max, latency_ms):
+    space = StateSpace(max_queue=n_max, grid_size=len(grid))
+    row = np.zeros(space.size, dtype=np.float64)
+    row[space.EMPTY] = 1.0 - gaps.equilibrium_cdf(latency_ms)
+    occupied = space.occupied_view(row)
+    live, u, w = _oracle_nodes(grid, latency_ms)
+    if live.size:
+        f_e = gaps.equilibrium_density(u)
+        pmf = _oracle_count_pmf(gaps, (latency_ms - u).ravel(), n_max).reshape(
+            n_max, live.size, _ORACLE_QUAD
+        )
+        occupied[:, live] = np.einsum("nlq,lq->nl", pmf, w * f_e)
+    total = row.sum()
+    if total > 1.0:
+        row /= total
+        total = 1.0
+    row[space.FULL] = max(0.0, 1.0 - total)
+    return row
+
+
+def _oracle_arrival_counts(gaps, n_max, latency_ms):
+    nodes_c, weights_c = np.polynomial.legendre.leggauss(_ORACLE_COUNT_QUAD)
+    counts = np.zeros(n_max + 1, dtype=np.float64)
+    counts[0] = 1.0 - gaps.equilibrium_cdf(latency_ms)
+    if latency_ms > 0.0:
+        half = 0.5 * latency_ms
+        u = half * (nodes_c + 1.0)
+        w = weights_c * half
+        f_e = gaps.equilibrium_density(u)
+        counts[1:] = _oracle_count_pmf(gaps, latency_ms - u, n_max) @ (w * f_e)
+    np.clip(counts, 0.0, 1.0, out=counts)
+    total = counts.sum()
+    if total > 1.0:
+        counts /= total
+    return counts
+
+
+def _first_raw(latencies):
+    """First raw latency per ``round(l, 9)`` cache key, in call order."""
+    first = {}
+    for lat in latencies:
+        first.setdefault(round(float(lat), 9), float(lat))
+    return first
+
+
+def _oracle_rows(grid, gaps, n_max, latencies):
+    first = _first_raw(latencies)
+    return np.array(
+        [
+            _oracle_service_row(grid, gaps, n_max, first[round(float(lat), 9)])
+            for lat in latencies
+        ]
+    )
+
+
+def _ladder_with_twin(overheads, per_items):
+    """Drawn models, a slow one whose six-query batch outlasts any drawn
+    SLO (clipped windows), and a twin of the first model whose latencies
+    differ by ~1e-12 ms, so its keys mostly collide under ``round(l, 9)``
+    while the raw floats differ."""
+    models = [
+        ModelProfile(
+            name=f"m{i}",
+            accuracy=0.5 + 0.1 * i,
+            latency=LinearLatencyModel(o, p, std_ms=0.0),
+            family="oracle",
+        )
+        for i, (o, p) in enumerate(zip(overheads, per_items))
+    ]
+    models.append(
+        ModelProfile(
+            name="slow",
+            accuracy=0.95,
+            latency=LinearLatencyModel(1.0, 40.0, std_ms=0.0),
+            family="oracle",
+        )
+    )
+    models.append(
+        ModelProfile(
+            name="twin",
+            accuracy=0.45,
+            latency=LinearLatencyModel(
+                overheads[0] + 1e-12, per_items[0], std_ms=0.0
+            ),
+            family="oracle",
+        )
+    )
+    return ModelSet(models, task="oracle")
+
+
+_gap_models = st.one_of(
+    st.builds(
+        GammaGaps,
+        shape=st.sampled_from([1.0, 8.0, 2.5]),
+        scale_ms=st.floats(min_value=0.5, max_value=40.0),
+    ),
+    st.builds(DeterministicGaps, gap_ms=st.floats(min_value=1.0, max_value=60.0)),
+)
+
+#: Central arrivals and K giving Gamma(1), Gamma(8), Gamma(2.5) and
+#: deterministic per-worker gaps under the round-robin marginal view.
+_ARRIVAL_FAMILIES = [
+    (lambda load: PoissonArrivals(load), 1),
+    (lambda load: PoissonArrivals(load), 8),
+    (lambda load: GammaArrivals(load, shape=1.25), 2),
+    (lambda load: DeterministicArrivals(load), 2),
+]
+
+
+def _oracle_config(family, load, slo, md, batching, overheads, per_items):
+    make, k = _ARRIVAL_FAMILIES[family]
+    return WorkerMDPConfig(
+        model_set=_ladder_with_twin(overheads, per_items),
+        slo_ms=slo,
+        arrivals=make(load),
+        num_workers=k,
+        max_batch_size=4,
+        max_queue=6,
+        discretization=(
+            Discretization.MODEL_BASED if md else Discretization.FIXED_LENGTH
+        ),
+        fld_resolution=9,
+        batching=batching,
+        pareto_prune=False,
+        view=TransitionView.ROUND_ROBIN_MARGINAL,
+    )
+
+
+_config_args = dict(
+    family=st.integers(min_value=0, max_value=len(_ARRIVAL_FAMILIES) - 1),
+    load=st.floats(min_value=20.0, max_value=400.0),
+    slo=st.floats(min_value=40.0, max_value=200.0),
+    md=st.booleans(),
+    overheads=st.lists(
+        st.floats(min_value=0.5, max_value=10.0), min_size=2, max_size=3
+    ),
+    per_items=st.lists(
+        st.floats(min_value=2.0, max_value=60.0), min_size=3, max_size=3
+    ),
+)
+
+
+class TestRenewalKernelOracle:
+    """Deduplicated rows equal the per-latency quadrature bit for bit."""
+
+    @given(
+        gaps=_gap_models,
+        slo=st.floats(min_value=20.0, max_value=300.0),
+        md=st.booleans(),
+        d=st.integers(min_value=1, max_value=30),
+        n_max=st.integers(min_value=1, max_value=8),
+        lats=st.lists(
+            st.floats(min_value=0.5, max_value=600.0), min_size=1, max_size=8
+        ),
+        split=st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_service_rows_match_oracle(self, gaps, slo, md, d, n_max, lats, split):
+        if md:
+            grid = model_based_grid(
+                _ladder_with_twin([1.0, 2.0], [d, 2.0 * d, 3.0 * d]), slo, 4
+            )
+        else:
+            grid = fixed_length_grid(slo, d)
+        # Keys shared by distinct raw floats: the first one seen wins.
+        lats = lats + [lat * (1.0 + 1e-14) for lat in lats[:2]]
+        builder = EquilibriumRenewalKernelBuilder(grid, gaps, n_max)
+        # Two calls: the second mixes cached and uncached keys.
+        cut = min(split, len(lats))
+        rows = np.concatenate(
+            [builder.service_rows(lats[:cut]), builder.service_rows(lats[cut:])]
+        )
+        oracle = _oracle_rows(grid, gaps, n_max, lats)
+        assert np.array_equal(rows, oracle)
+        assert np.array_equal(builder.service_row(lats[-1]), oracle[-1])
+
+    @given(**_config_args)
+    @settings(max_examples=30, deadline=None)
+    def test_worker_mdp_rows_match_oracle(
+        self, family, load, slo, md, overheads, per_items
+    ):
+        config = _oracle_config(
+            family, load, slo, md, BatchingMode.MAXIMAL, overheads, per_items
+        )
+        mdp = WorkerMDP(config)
+        gaps = gaps_for_distribution(config.per_worker_arrivals())
+        lats = [
+            mdp.latency_ms(m, n)
+            for m in range(mdp.num_models)
+            for n in range(1, mdp.max_queue + 1)
+        ]
+        assert max(lats) > slo  # some windows are clipped
+        oracle = _oracle_rows(mdp.grid, gaps, mdp.max_queue, lats)
+        assert np.array_equal(
+            mdp._rows.reshape(len(lats), mdp.space.size), oracle
+        )
+
+    @given(
+        **_config_args,
+        extra_loads=st.lists(
+            st.floats(min_value=20.0, max_value=400.0), min_size=1, max_size=3
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_stacked_seeds_match_oracle(
+        self, family, load, slo, md, overheads, per_items, extra_loads
+    ):
+        base = _oracle_config(
+            family, load, slo, md, BatchingMode.VARIABLE, overheads, per_items
+        )
+        configs = [base] + [base.with_load(x) for x in extra_loads]
+        template = TensorizedWorkerMDP(base)
+        seeds = _stacked_kernel_seeds(template, configs[1:])
+        assert seeds is not None
+        n_max = template.max_queue
+        service = _first_raw(
+            template.latency_ms(m, n)
+            for m in range(template.num_models)
+            for n in range(1, n_max + 1)
+        )
+        counts = _first_raw(
+            template.latency_ms(m, b)
+            for m in range(template.num_models)
+            for b in range(1, n_max)
+            if template.latency_ms(m, b) <= slo
+        )
+        assert counts
+        for config, seed in zip(configs[1:], seeds):
+            gaps = gaps_for_distribution(config.per_worker_arrivals())
+            assert seed.service_rows.keys() == service.keys()
+            for key, lat in service.items():
+                expected = _oracle_service_row(template.grid, gaps, n_max, lat)
+                assert np.array_equal(seed.service_rows[key], expected)
+            assert seed.arrival_counts.keys() == counts.keys()
+            for key, lat in counts.items():
+                expected = _oracle_arrival_counts(gaps, n_max, lat)
+                assert np.array_equal(seed.arrival_counts[key], expected)
+
+
+class _CountingGammaGaps(GammaGaps):
+    """GammaGaps that records the size of every ``kfold_cdf`` call."""
+
+    def __init__(self, shape, scale_ms):
+        super().__init__(shape, scale_ms)
+        self.kfold_sizes = []
+
+    def kfold_cdf(self, k, t):
+        self.kfold_sizes.append(np.size(t))
+        return super().kfold_cdf(k, t)
+
+
+class TestRenewalKernelDeduplication:
+    def test_one_kfold_pass_per_queue_length(self, monkeypatch):
+        """One WorkerMDP build makes ``max_queue`` k-fold CDF calls in
+        total, each over at most the distinct remaining times — not one
+        pass per service latency."""
+        created = []
+
+        def counting_gaps(distribution):
+            gaps = gaps_for_distribution(distribution)
+            counted = _CountingGammaGaps(gaps.shape, gaps.scale_ms)
+            created.append(counted)
+            return counted
+
+        monkeypatch.setattr(mdp_module, "gaps_for_distribution", counting_gaps)
+        config = _oracle_config(
+            1, 120.0, 100.0, False, BatchingMode.MAXIMAL, [1.0, 3.0], [5.0, 9.0, 30.0]
+        )
+        mdp = WorkerMDP(config)
+        (gaps,) = created
+        lats = _first_raw(
+            mdp.latency_ms(m, n)
+            for m in range(mdp.num_models)
+            for n in range(1, mdp.max_queue + 1)
+        )
+        remaining = np.concatenate(
+            [
+                (lat - _oracle_nodes(mdp.grid, lat)[1]).ravel()
+                for lat in lats.values()
+            ]
+        )
+        distinct = np.unique(remaining).size
+        assert distinct < remaining.size  # latencies do share remaining times
+        assert len(gaps.kfold_sizes) == mdp.max_queue
+        assert max(gaps.kfold_sizes) <= distinct
