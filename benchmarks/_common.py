@@ -65,7 +65,7 @@ def bench_scale() -> ExperimentScale:
 
 
 def bench_workers() -> int:
-    """Process count for parallel policy-bank passes.
+    """Process count for the runtime stress fan-out.
 
     Set with ``pytest benchmarks/... --workers N`` (see
     ``benchmarks/conftest.py``) or ``RAMSIS_BENCH_WORKERS``; defaults to the

@@ -1,23 +1,23 @@
-"""Offline policy-bank generation: serial vs. pool vs. stacked bank.
+"""Offline policy-bank generation: serial per-load solves vs. stacked bank.
 
-Times four passes over the same 32-cell load grid and gates the tentpole
+Times three passes over the same 32-cell load grid and gates the tentpole
 invariants of the pipeline:
 
-- **cold serial**: every cell solved in-process by the per-load tensor
-  backend, persisting into a fresh cache directory;
-- **cold parallel**: the same cells fanned across ``--workers`` processes
-  (the PR 3 process-pool path) into a second fresh directory;
+- **cold serial**: every cell solved on its own by
+  :func:`repro.core.generator.generate_policy` (the tensorized single-load
+  MDP), persisting into a fresh cache directory;
 - **cold stacked**: the whole grid solved as *one* batched tensor program
-  by :class:`repro.core.bank.StackedBankMDP`;
-- **warm cross-backend**: the stacked generator pointed at the serial
-  pass's cache directory, resolving every cell from disk — proving the
-  backends share per-load cache keys.
+  by :class:`repro.core.bank.StackedBankMDP`, the path every
+  :class:`~repro.core.generator.PolicyGenerator` miss takes;
+- **warm**: a stacked generator pointed at the serial pass's cache
+  directory, resolving every cell from disk — proving per-load solves and
+  the stacked bank share cache keys.
 
-All banks must be byte-identical (the stacked sweep is float-``==`` to
+Both banks must be byte-identical (the stacked sweep is float-``==`` to
 independent per-load solves), a subset of loads is additionally checked
 against the reference ``loop`` backend, and the stacked pass must beat
-the process-pool pass by ``RAMSIS_BENCH_MIN_SPEEDUP`` (default 2x at
-bench scale, 1.2x at ``RAMSIS_BENCH_SCALE=smoke``).
+the serial pass by ``RAMSIS_BENCH_MIN_SPEEDUP`` (default 2x at bench
+scale, 1.2x at ``RAMSIS_BENCH_SCALE=smoke``).
 
 Headline numbers land in ``benchmarks/out/policy_bank.{txt,json}`` and
 ``BENCH_policy_bank.json`` at the repo root, regression-gated in CI via
@@ -35,13 +35,12 @@ import pytest
 from benchmarks._common import (
     bench_scale,
     bench_use_cache,
-    bench_workers,
     emit,
     host_metadata,
 )
 from repro.cache import PolicyCache
 from repro.core.config import WorkerMDPConfig
-from repro.core.generator import PolicyGenerator
+from repro.core.generator import PolicyGenerator, generate_policy
 from repro.experiments.tasks import image_task
 
 #: Load grid (QPS) — 32 cells, the acceptance benchmark's shape.
@@ -50,6 +49,9 @@ LOADS = [20.0 + 2.5 * i for i in range(32)]
 #: Subset cross-checked against the reference loop backend (exact but
 #: far too slow to run on all 32 cells every benchmark run).
 LOOP_CHECK_LOADS = LOADS[::8]
+
+#: Value-iteration tolerance shared by every pass (the generator default).
+TOLERANCE = 1e-7
 
 
 def _smoke() -> bool:
@@ -84,35 +86,24 @@ def _bank_bytes(results) -> str:
 
 def test_policy_bank_speedups(tmp_path):
     config = _bank_config()
-    workers = bench_workers()
     use_cache = bench_use_cache()
-
     dir_serial = tmp_path / "cache-serial"
-    dir_parallel = tmp_path / "cache-parallel"
+    cache_serial = PolicyCache(directory=dir_serial) if use_cache else None
 
     start = time.perf_counter()
-    serial = PolicyGenerator(
-        config,
-        solver="tensor",
-        cache=PolicyCache(directory=dir_serial) if use_cache else None,
-    ).generate_many(LOADS)
+    serial = []
+    for load in LOADS:
+        cell = config.with_load(load)
+        result = generate_policy(cell, tolerance=TOLERANCE)
+        if cache_serial is not None:
+            cache_serial.put(cell, TOLERANCE, result)
+        serial.append(result)
     cold_serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = PolicyGenerator(
-        config,
-        solver="tensor",
-        cache=PolicyCache(directory=dir_parallel) if use_cache else None,
-    ).generate_many(LOADS, max_workers=workers)
-    cold_parallel_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    stacked = PolicyGenerator(config, solver="stacked").generate_many(LOADS)
+    stacked = PolicyGenerator(config, tolerance=TOLERANCE).generate_many(LOADS)
     stacked_s = time.perf_counter() - start
 
-    assert _bank_bytes(serial) == _bank_bytes(parallel), (
-        "parallel bank differs from serial bank"
-    )
     assert _bank_bytes(serial) == _bank_bytes(stacked), (
         "stacked bank differs from serial bank"
     )
@@ -121,8 +112,8 @@ def test_policy_bank_speedups(tmp_path):
     ), "stacked guarantees differ from serial guarantees"
 
     # Spot-check the stack against the reference loop backend: exact
-    # agreement on a subset ties the whole chain back to PR 1's solver.
-    loop_gen = PolicyGenerator(config, solver="loop")
+    # agreement on a subset ties the whole chain back to the oracle.
+    loop_gen = PolicyGenerator(config, tolerance=TOLERANCE, solver="loop")
     for load in LOOP_CHECK_LOADS:
         reference = stacked[LOADS.index(load)]
         looped = loop_gen.generate(load)
@@ -134,12 +125,12 @@ def test_policy_bank_speedups(tmp_path):
 
     warm_s = None
     if use_cache:
-        # Cross-backend cache sharing: the stacked generator resolves the
-        # serial pass's artifacts — per-load keys are backend-agnostic.
+        # Shared cache keys: the stacked generator resolves the serial
+        # pass's per-load artifacts.
         warm_cache = PolicyCache(directory=dir_serial)
         start = time.perf_counter()
         warm = PolicyGenerator(
-            config, solver="stacked", cache=warm_cache
+            config, tolerance=TOLERANCE, cache=warm_cache
         ).generate_many(LOADS)
         warm_s = time.perf_counter() - start
         assert warm_cache.hits == len(LOADS), (
@@ -155,25 +146,19 @@ def test_policy_bank_speedups(tmp_path):
         )
 
     floor = _min_speedup()
-    stacked_speedup_vs_pool = cold_parallel_s / stacked_s
     stacked_speedup_vs_serial = cold_serial_s / stacked_s
-    parallel_speedup = cold_serial_s / cold_parallel_s
     warm_speedup = None if warm_s is None else cold_serial_s / warm_s
-    assert stacked_speedup_vs_pool >= floor, (
-        f"stacked bank solve {stacked_s:.3f}s vs pool {cold_parallel_s:.3f}s "
-        f"= {stacked_speedup_vs_pool:.2f}x, below the {floor:.1f}x floor"
+    assert stacked_speedup_vs_serial >= floor, (
+        f"stacked bank solve {stacked_s:.3f}s vs serial {cold_serial_s:.3f}s "
+        f"= {stacked_speedup_vs_serial:.2f}x, below the {floor:.1f}x floor"
     )
 
     lines = [
         f"policy bank: {len(LOADS)}-cell grid, "
-        f"fld_resolution={config.fld_resolution}, workers={workers}",
+        f"fld_resolution={config.fld_resolution}",
         f"cold serial:   {cold_serial_s:8.3f} s",
-        f"cold parallel: {cold_parallel_s:8.3f} s "
-        f"({parallel_speedup:.2f}x)",
         f"cold stacked:  {stacked_s:8.3f} s "
-        f"({stacked_speedup_vs_pool:.2f}x vs pool, "
-        f"{stacked_speedup_vs_serial:.2f}x vs serial, "
-        f"floor {floor:.1f}x vs pool)",
+        f"({stacked_speedup_vs_serial:.2f}x vs serial, floor {floor:.1f}x)",
     ]
     if warm_s is not None:
         lines.append(
@@ -186,15 +171,11 @@ def test_policy_bank_speedups(tmp_path):
             "host": host_metadata(),
             "loads_qps": LOADS,
             "fld_resolution": config.fld_resolution,
-            "workers": workers,
             "scale": "smoke" if _smoke() else "bench",
             "min_speedup": floor,
             "cold_serial_s": cold_serial_s,
-            "cold_parallel_s": cold_parallel_s,
             "cold_stacked_s": stacked_s,
             "warm_cache_s": warm_s,
-            "parallel_speedup": parallel_speedup,
-            "stacked_speedup_vs_pool": stacked_speedup_vs_pool,
             "stacked_speedup_vs_serial": stacked_speedup_vs_serial,
             "warm_cache_speedup": warm_speedup,
         },

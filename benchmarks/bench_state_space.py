@@ -9,7 +9,9 @@ This benchmark reproduces the claim in miniature (enumerated naive states
 grow combinatorially with (D, N) while the decomposed space is N*D + 2),
 and then gates the **tensorized solver backend** end-to-end:
 
-- ``tensor`` and ``loop`` backends must agree *exactly* — float-``==``
+- the tensorized MDP (``build_worker_mdp(config, solver="stacked")``,
+  labelled ``tensor`` in the tables and JSON keys) and the ``loop``
+  backend must agree *exactly* — float-``==``
   value functions, identical sweep counts, byte-identical saved policies,
   identical policy-iteration tables — on a variable-batching cell;
 - the combined solve (value iteration + policy iteration) must clear
@@ -199,7 +201,7 @@ def solver_gate(tmp_path_factory):
     """Solve the gated cell with both backends, interleaved best-of-reps."""
     config = _gate_config()
     loop = build_worker_mdp(config, solver="loop")
-    tensor = build_worker_mdp(config, solver="tensor")
+    tensor = build_worker_mdp(config, solver="stacked")
     reps = 2 if _smoke() else 3
 
     vi_times = {"loop": [], "tensor": []}
@@ -289,7 +291,7 @@ def scale_demo():
         batching=BatchingMode.VARIABLE,
         pareto_prune=False,
     )
-    tensor = build_worker_mdp(config, solver="tensor")
+    tensor = build_worker_mdp(config, solver="stacked")
     start = time.perf_counter()
     stats = value_iteration(tensor, tolerance=1e-6)
     tensor_solve_s = time.perf_counter() - start

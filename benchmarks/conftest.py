@@ -1,8 +1,10 @@
 """Benchmark-suite pytest options.
 
-``--workers`` and ``--no-cache`` parameterize the policy-bank benchmarks
-(:mod:`benchmarks.bench_policy_bank`) without touching the environment by
-hand; they land in ``RAMSIS_BENCH_WORKERS`` / ``RAMSIS_BENCH_NO_CACHE`` so
+``--workers`` sizes the runtime stress fan-out
+(:mod:`benchmarks.bench_runtime`) and ``--no-cache`` skips the policy-bank
+cache passes (:mod:`benchmarks.bench_policy_bank`) without touching the
+environment by hand; they land in ``RAMSIS_BENCH_WORKERS`` /
+``RAMSIS_BENCH_NO_CACHE`` so
 :func:`benchmarks._common.bench_workers` and friends can read them from any
 process.
 """
@@ -19,7 +21,7 @@ def pytest_addoption(parser):
         action="store",
         type=int,
         default=None,
-        help="processes for parallel policy-bank benchmarks "
+        help="processes for the runtime stress fan-out "
         "(default: RAMSIS_BENCH_WORKERS or CPU count)",
     )
     group.addoption(

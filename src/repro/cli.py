@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.arrivals.traces import LoadTrace, synthesize_twitter_trace
+from repro.core.mdp import SOLVER_BACKENDS
 from repro.experiments.reporting import format_table, render_comparison
 from repro.experiments.runner import MethodPoint
 from repro.experiments.scale import ExperimentScale
@@ -98,7 +99,7 @@ def _write_obs_dir(tracer, registry, obs_dir) -> None:
 
     Leaves the directory in the layout ``ramsis report --run-dir``
     consumes (``merged.jsonl``, ``trace.json``, ``metrics.prom``,
-    ``metrics.json``, plus any per-batch worker shards).
+    ``metrics.json``, plus any worker shards a parallel sweep wrote).
     """
     from repro.obs.aggregate import MergedRun, write_merged_artifacts
 
@@ -111,8 +112,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     """Generate RAMSIS policies (artifact: RAMSIS_gen.py).
 
     One policy per ``--loads`` entry (default: just ``--load``); grid cells
-    fan out across ``--jobs`` processes and resolve through the persistent
-    policy cache unless ``--no-cache``.
+    resolve through the persistent policy cache unless ``--no-cache``, and
+    the misses solve as one stacked bank.
     """
     from repro.core.config import WorkerMDPConfig
     from repro.core.generator import PolicyGenerator
@@ -120,14 +121,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     task = _task_by_name(args.task)
     slo = args.slo if args.slo is not None else task.slos_ms[0]
     loads = [float(q) for q in (args.loads or [args.load])]
-    if getattr(args, "solver", "auto") == "stacked" and (
-        args.jobs is not None and args.jobs > 1
-    ):
-        raise SystemExit(
-            "--solver stacked solves the whole load grid in-process as one "
-            "batched tensor program; drop --jobs, or use --solver auto to "
-            "let grid size pick the backend"
-        )
     config = WorkerMDPConfig.default_poisson(
         task.model_set,
         slo_ms=slo,
@@ -146,10 +139,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cache=_cache_from_args(args),
         tracer=tracer,
         registry=registry,
-        run_dir=obs_dir,
-        solver=getattr(args, "solver", "auto"),
+        solver=args.solver,
     )
-    results = generator.generate_many(loads, max_workers=args.jobs)
+    results = generator.generate_many(loads)
     if obs_dir is not None:
         _write_obs_dir(tracer, registry, obs_dir)
     out_dir = Path(args.out) / f"RAMSIS_{args.workers}_{slo:g}"
@@ -459,17 +451,13 @@ def _explain_attributor(run_dir: Path, slo: Optional[float]):
     direct = run_dir / "attribution.json"
     if direct.is_file():
         return json.loads(direct.read_text()), None
-    batches = sorted(run_dir.glob("batch-*/attribution.json"))
-    if batches:
-        return json.loads(batches[-1].read_text()), None
     from repro.obs.attribution import attribution_from_jsonl
 
     for name in ("merged.jsonl", "events.jsonl"):
-        candidates = [run_dir / name] + sorted(run_dir.glob(f"batch-*/{name}"))
-        for path in candidates:
-            if path.is_file():
-                attributor = attribution_from_jsonl(path, slo_ms=slo)
-                return attributor.to_json_dict(), attributor
+        path = run_dir / name
+        if path.is_file():
+            attributor = attribution_from_jsonl(path, slo_ms=slo)
+            return attributor.to_json_dict(), attributor
     return None, None
 
 
@@ -995,12 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a policy per load (overrides --load)",
     )
     gen.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="solve grid cells across this many processes",
-    )
-    gen.add_argument(
         "--cache-dir",
         default=None,
         help="policy cache directory (default: $RAMSIS_CACHE_DIR or "
@@ -1014,19 +996,18 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--fld-resolution", type=int, default=100)
     gen.add_argument(
         "--solver",
-        choices=["auto", "tensor", "loop", "stacked"],
-        default="auto",
-        help="Bellman-sweep backend: tensorized (fast), reference loop "
-        "(oracle), stacked (one batched solve for the whole load grid), "
-        "or auto (stacked for serial multi-load grids, tensor otherwise; "
-        "backends are value-identical)",
+        choices=list(SOLVER_BACKENDS),
+        default="stacked",
+        help="Bellman-sweep backend: stacked (one batched solve for the "
+        "whole load grid) or loop (per-load reference oracle); the two "
+        "are value-identical",
     )
     gen.add_argument("--out", default="policy_gen")
     gen.add_argument(
         "--obs-dir",
         default=None,
-        help="trace the generation (serial and parallel) and write the "
-        "merged observability artifacts under this directory",
+        help="trace the generation and write the merged observability "
+        "artifacts under this directory",
     )
     gen.set_defaults(func=cmd_gen)
 

@@ -38,7 +38,7 @@ across the load axis — ufuncs are per-element, so batching them cannot
 change a single bit.  ``tests/test_solver_equivalence.py`` asserts the
 contract across views, batching modes, and random load grids;
 ``benchmarks/bench_policy_bank.py`` gates the bank-solve speedup floor
-over the process-pool fan-out in CI via ``BENCH_policy_bank.json``.
+over serial per-load solves in CI via ``BENCH_policy_bank.json``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from repro.core.guarantees import (
     evaluate_policy,
 )
 from repro.core.policy import Policy
-from repro.core.solvers import SolveStats
+from repro.core.solvers import SolveStats, _check_solve_args
 from repro.core.tensor import TensorizedWorkerMDP
 from repro.core.transitions import (
     DeterministicGaps,
@@ -69,14 +69,7 @@ from repro.core.transitions import (
 from repro.errors import ConfigurationError, SolverError
 from repro.obs.trace import NULL_TRACER, Tracer
 
-__all__ = ["StackedBankMDP", "solve_stacked_bank", "STACKED_AUTO_MIN_CELLS"]
-
-#: Pending-cell count at which ``solver="auto"`` picks the stacked bank
-#: over serial per-load solves in :meth:`PolicyGenerator.generate_many`
-#: (an explicit ``max_workers > 1`` process-pool request takes
-#: precedence).  Below this, per-cell fixed costs dominate and the
-#: stacked layout has nothing to amortize.
-STACKED_AUTO_MIN_CELLS = 4
+__all__ = ["StackedBankMDP", "solve_stacked_bank"]
 
 
 # ----------------------------------------------------------------------
@@ -558,12 +551,7 @@ class StackedBankMDP:
         Raises :class:`SolverError` naming the unconverged loads when the
         ceiling is hit.
         """
-        if tolerance <= 0:
-            raise SolverError(f"tolerance must be > 0, got {tolerance}")
-        if max_iterations < 1:
-            raise SolverError(
-                f"max_iterations must be >= 1, got {max_iterations}"
-            )
+        _check_solve_args(tolerance, max_iterations)
         loads = len(self._cells)
         if initials is not None and len(initials) != loads:
             raise ConfigurationError(

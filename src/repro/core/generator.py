@@ -2,52 +2,34 @@
 
 :func:`generate_policy` is the one-call entry point: configuration in,
 solved and annotated :class:`~repro.core.policy.Policy` out.
-:class:`PolicyGenerator` layers three caches and a parallel fan-out on top:
+:class:`PolicyGenerator` resolves load grids through two caches and one
+solver:
 
 - an **in-memory** cache keyed by ``(load, workers, tolerance)`` so sweeps
   within one process never solve the same MDP twice;
 - an optional **persistent disk** cache (:class:`repro.cache.PolicyCache`)
   keyed by a content hash of the canonicalized config, so experiment
   invocations share solved policies across processes and runs;
-- :meth:`PolicyGenerator.generate_many`, which fans cache misses out across
-  a ``ProcessPoolExecutor`` with deterministic result ordering — every cell
-  runs the exact same :func:`generate_policy` code path, so parallel banks
-  are byte-identical to serial ones.
+- the **stacked bank**: the cache misses of one
+  :meth:`PolicyGenerator.generate_many` call solve together as one
+  :func:`repro.core.bank.solve_stacked_bank` program, byte-identical to
+  independent per-load solves (``solver="loop"`` keeps the per-load
+  reference oracle instead).
 """
 
 from __future__ import annotations
 
-import shutil
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import WorkerMDPConfig
 from repro.core.guarantees import PolicyGuarantees, evaluate_policy
-from repro.core.mdp import build_worker_mdp
+from repro.core.mdp import build_worker_mdp, resolve_solver
 from repro.core.policy import Policy, PolicyMetadata
 from repro.core.solvers import value_iteration
-from repro.errors import ConfigurationError
-from repro.obs.aggregate import (
-    init_worker_obs,
-    merge_run_dir,
-    new_run_dir,
-    worker_obs,
-    write_merged_artifacts,
-)
 from repro.obs.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache uses results)
@@ -84,7 +66,7 @@ def generate_policy(
     tracer: Optional[Tracer] = None,
     record_residuals: bool = False,
     initial: Optional[np.ndarray] = None,
-    solver: str = "auto",
+    solver: str = "stacked",
 ) -> GenerationResult:
     """Build the worker MDP, solve it, and package the optimal MS policy.
 
@@ -96,8 +78,8 @@ def generate_policy(
     value vector (e.g. an adjacent load's), cutting sweep counts without
     changing the fixed point.
 
-    ``solver`` selects the Bellman-sweep backend
-    (``"auto"``/``"tensor"``/``"loop"``, see
+    ``solver`` selects the Bellman-sweep backend (``"stacked"``, whose
+    single-load case is the tensorized MDP, or the ``"loop"`` oracle; see
     :func:`repro.core.mdp.resolve_solver`).  Backends are value-identical
     — the equivalence suite asserts float-``==`` value functions and
     byte-identical saved policies — so results (and cache artifacts) are
@@ -171,39 +153,12 @@ def _annotate(policy: Policy, guarantees: PolicyGuarantees) -> Policy:
     )
 
 
-def _solve_cell(
-    payload: Tuple[int, WorkerMDPConfig, float, Optional[np.ndarray], bool, str]
-) -> GenerationResult:
-    """Process-pool entry point: solve one grid cell.
-
-    Module-level so it pickles under every multiprocessing start method;
-    runs the identical code path as the serial ``generate_policy`` call,
-    which is what makes parallel banks byte-identical to serial ones.
-    With observability shipping on, the solve is traced into this
-    worker's shard (installed by :func:`repro.obs.aggregate.init_worker_obs`),
-    stamped with the cell's sequence number for in-order merging.
-    """
-    seq, config, tolerance, initial, ship, solver = payload
-    obs = worker_obs() if ship else None
-    tracer: Optional[Tracer] = None
-    if obs is not None:
-        obs.tracer.set_sequence(seq)
-        tracer = obs.tracer
-    try:
-        return generate_policy(
-            config,
-            tolerance=tolerance,
-            tracer=tracer,
-            initial=initial,
-            solver=solver,
-        )
-    finally:
-        if obs is not None:
-            obs.flush()
+#: A cache miss awaiting a solve: (result slot, load, config, warm start).
+_Pending = Tuple[int, float, WorkerMDPConfig, Optional[np.ndarray]]
 
 
 class PolicyGenerator:
-    """Caching, parallelizing wrapper around :func:`generate_policy`.
+    """Caching wrapper around the stacked bank solver.
 
     Resolution order for every cell: in-memory cache -> persistent disk
     cache (when ``cache`` is given) -> solve.  The in-memory key is
@@ -219,26 +174,18 @@ class PolicyGenerator:
         cache: Optional["PolicyCache"] = None,
         tracer: Optional[Tracer] = None,
         registry: Optional["MetricsRegistry"] = None,
-        run_dir: Optional[Union[str, Path]] = None,
-        solver: str = "auto",
+        solver: str = "stacked",
     ) -> None:
         self._base = base_config
         self._tolerance = tolerance
-        #: Bellman-sweep backend for every cell this generator solves.
-        #: Not part of the cache keys: backends are value-identical (the
-        #: equivalence suite gates this), so artifacts are shared.
-        self._solver = solver
+        #: ``"stacked"`` or the ``"loop"`` oracle.  Not part of the cache
+        #: keys: both are value-identical (the equivalence suite gates
+        #: this), so artifacts are shared.
+        self._solver = resolve_solver(solver)
         self._cache: Dict[Tuple[float, int, float], GenerationResult] = {}
         self._disk = cache
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._registry = registry
-        #: Shard root for parallel solves.  Each parallel batch gets its
-        #: own ``batch-NNN`` subdirectory, so repeated ``generate_many``
-        #: calls (e.g. §6 refinement rounds) never mix or truncate
-        #: shards; without it a temp directory per batch is used and
-        #: removed after the merge.
-        self._run_dir = None if run_dir is None else Path(run_dir)
-        self._batch = 0
 
     @property
     def base_config(self) -> WorkerMDPConfig:
@@ -252,7 +199,7 @@ class PolicyGenerator:
 
     @property
     def solver(self) -> str:
-        """The Bellman-sweep backend cells solve with (``auto`` default)."""
+        """The backend cells solve with (``stacked`` default)."""
         return self._solver
 
     def _count_cell(self, source: str) -> None:
@@ -272,16 +219,6 @@ class PolicyGenerator:
             config = replace(config, num_workers=workers)
         return config
 
-    def _commit(
-        self,
-        key: Tuple[float, int, float],
-        config: WorkerMDPConfig,
-        result: GenerationResult,
-    ) -> None:
-        self._cache[key] = result
-        if self._disk is not None:
-            self._disk.put(config, self._tolerance, result)
-
     def generate(
         self,
         load_qps: float,
@@ -295,91 +232,31 @@ class PolicyGenerator:
         seed, and warm/cold convergence to the same policy is asserted by
         the test suite).
         """
-        workers = num_workers if num_workers is not None else self._base.num_workers
-        key = self._key(load_qps, workers)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._count_cell("memory")
-            return cached
-        config = self._config_for(load_qps, workers)
-        if self._disk is not None:
-            restored = self._disk.get(config, self._tolerance)
-            if restored is not None:
-                self._cache[key] = restored
-                self._count_cell("disk")
-                return restored
-        with self._tracer.span(
-            f"cell {load_qps:g}qps",
-            track="policy_bank",
-            args={"load_qps": load_qps, "workers": workers},
-        ):
-            result = generate_policy(
-                config,
-                tolerance=self._tolerance,
-                tracer=self._tracer,
-                initial=initial,
-                solver=self._solver,
-            )
-        self._count_cell("solve")
-        self._commit(key, config, result)
-        return result
+        q = float(load_qps)
+        initials = None if initial is None else {q: initial}
+        return self.generate_many([q], num_workers, initials=initials)[0]
 
     def generate_many(
         self,
         loads_qps: Sequence[float],
         num_workers: Optional[int] = None,
-        max_workers: Optional[int] = None,
         initials: Optional[Mapping[float, Optional[np.ndarray]]] = None,
     ) -> List[GenerationResult]:
         """Policies for a batch of loads, in the order given.
 
-        Cache layers are consulted first; only misses are solved.  With
-        ``max_workers > 1`` the misses fan out across a
-        ``ProcessPoolExecutor`` (submit/solve/collect progress appears on
-        the tracer's ``policy_bank`` track); otherwise they solve serially
-        in this process.  Either way results come back in the order of
-        ``loads_qps`` and are bit-identical, because every cell runs the
-        same :func:`generate_policy` code path.
-
-        An attached ``tracer``/``registry`` instruments both paths: the
-        parallel one ships each worker's records as shards (one
-        ``batch-NNN`` directory per call under ``run_dir`` when set, a
-        temp directory otherwise) and merges them back in cell order
-        after the pool drains — per-cell solver spans appear under
-        ``w<idx>/generator`` tracks instead of being silently dropped
-        (see :mod:`repro.obs.aggregate`).
+        Cache layers are consulted first; the misses solve together as one
+        stacked bank (a single miss is the ``L = 1`` bank), or one by one
+        through :func:`generate_policy` under ``solver="loop"``.  Either
+        way each result is byte-identical to an independent per-load solve
+        and commits to both caches under its per-load key.
 
         ``initials`` optionally maps a load to a warm-start value vector
         (see :meth:`generate`).
-
-        Backend routing for the misses: ``solver="stacked"`` solves them
-        all in-process as one batched tensor program
-        (:func:`repro.core.bank.solve_stacked_bank`, byte-identical to
-        the serial per-load path) and is mutually exclusive with a
-        ``max_workers > 1`` fan-out; ``solver="auto"`` picks the stacked
-        bank for serial calls with at least
-        :data:`~repro.core.bank.STACKED_AUTO_MIN_CELLS` misses — an
-        explicit ``max_workers > 1`` takes precedence and keeps the
-        process pool.
         """
-        if (
-            self._solver == "stacked"
-            and max_workers is not None
-            and max_workers > 1
-        ):
-            raise ConfigurationError(
-                "solver='stacked' solves the whole load grid in-process as "
-                "one batched tensor program and cannot be combined with a "
-                f"max_workers={max_workers} process-pool fan-out; drop "
-                "max_workers, or use solver='auto' to let grid size pick "
-                "the backend"
-            )
         workers = num_workers if num_workers is not None else self._base.num_workers
         loads = [float(q) for q in loads_qps]
         results: List[Optional[GenerationResult]] = [None] * len(loads)
-        pending: List[
-            Tuple[int, float, WorkerMDPConfig, Optional[np.ndarray]]
-        ] = []
+        pending: List[_Pending] = []
         for i, q in enumerate(loads):
             key = self._key(q, workers)
             cached = self._cache.get(key)
@@ -399,55 +276,19 @@ class PolicyGenerator:
             pending.append((i, q, config, initial))
 
         if pending:
-            parallel = (
-                max_workers is not None and max_workers > 1 and len(pending) > 1
-            )
-            stacked = False
-            if not parallel and len(pending) > 1:
-                from repro.core.bank import STACKED_AUTO_MIN_CELLS
-
-                stacked = self._solver == "stacked" or (
-                    self._solver == "auto"
-                    and len(pending) >= STACKED_AUTO_MIN_CELLS
-                )
-            if stacked:
-                self._solve_stacked(pending, workers, results)
-            elif parallel:
-                self._solve_parallel(pending, max_workers, workers, results)
-            else:
-                for i, q, config, initial in pending:
-                    with self._tracer.span(
-                        f"cell {q:g}qps",
-                        track="policy_bank",
-                        args={"load_qps": q, "workers": workers},
-                    ):
-                        result = generate_policy(
-                            config,
-                            tolerance=self._tolerance,
-                            tracer=self._tracer,
-                            initial=initial,
-                            solver=self._solver,
-                        )
-                    self._count_cell("solve")
-                    self._commit(self._key(q, workers), config, result)
-                    results[i] = result
-        assert all(r is not None for r in results)
+            solve = self._solve_loop if self._solver == "loop" else self._solve_stacked
+            for (i, q, config, _), result in zip(pending, solve(pending, workers)):
+                self._count_cell("solve")
+                self._cache[self._key(q, workers)] = result
+                if self._disk is not None:
+                    self._disk.put(config, self._tolerance, result)
+                results[i] = result
         return results  # type: ignore[return-value]
 
     def _solve_stacked(
-        self,
-        pending: List[Tuple[int, float, WorkerMDPConfig, Optional[np.ndarray]]],
-        workers: int,
-        results: List[Optional[GenerationResult]],
-    ) -> None:
-        """Solve pending cells as one stacked bank; fill ``results`` in place.
-
-        Each cell's result is byte-identical to the serial per-load path
-        (asserted by the equivalence suite), so results commit to the
-        in-memory and disk caches under the *same* per-load keys —
-        artifacts stay shared across the serial, process-pool, and
-        stacked backends.
-        """
+        self, pending: List[_Pending], workers: int
+    ) -> List[GenerationResult]:
+        """Solve the pending cells as one stacked bank, in order."""
         from repro.core.bank import solve_stacked_bank
 
         with self._tracer.span(
@@ -455,90 +296,34 @@ class PolicyGenerator:
             track="policy_bank",
             args={"cells": len(pending), "workers": workers},
         ):
-            solved = solve_stacked_bank(
+            return solve_stacked_bank(
                 [config for _, _, config, _ in pending],
                 tolerance=self._tolerance,
                 initials=[initial for _, _, _, initial in pending],
                 tracer=self._tracer,
             )
-        for (i, q, config, _), result in zip(pending, solved):
-            self._count_cell("solve")
-            self._commit(self._key(q, workers), config, result)
-            results[i] = result
 
-    def _solve_parallel(
-        self,
-        pending: List[Tuple[int, float, WorkerMDPConfig, Optional[np.ndarray]]],
-        max_workers: int,
-        workers: int,
-        results: List[Optional[GenerationResult]],
-    ) -> None:
-        """Fan pending cells out across processes; fill ``results`` in place."""
-        ship = (
-            self._tracer.enabled
-            or self._registry is not None
-            or self._run_dir is not None
-        )
-        owns_dir = False
-        shard_dir: Optional[Path] = None
-        if ship:
-            if self._run_dir is not None:
-                shard_dir = self._run_dir / f"batch-{self._batch:03d}"
-                shard_dir.mkdir(parents=True, exist_ok=True)
-            else:
-                shard_dir = new_run_dir(prefix="ramsis-bank-")
-                owns_dir = True
-            self._batch += 1
-
-        pool_size = min(max_workers, len(pending))
-        pool_kwargs = {}
-        if shard_dir is not None:
-            pool_kwargs = {
-                "initializer": init_worker_obs,
-                "initargs": (str(shard_dir),),
-            }
-        with ProcessPoolExecutor(max_workers=pool_size, **pool_kwargs) as pool:
+    def _solve_loop(
+        self, pending: List[_Pending], workers: int
+    ) -> List[GenerationResult]:
+        """Solve the pending cells one by one on the loop oracle, in order."""
+        solved = []
+        for _, q, config, initial in pending:
             with self._tracer.span(
-                "policy_bank_submit",
+                f"cell {q:g}qps",
                 track="policy_bank",
-                args={"cells": len(pending), "processes": pool_size},
+                args={"load_qps": q, "workers": workers},
             ):
-                futures = [
-                    (i, q, config, pool.submit(
-                        _solve_cell,
-                        (i, config, self._tolerance, initial, ship,
-                         self._solver),
-                    ))
-                    for i, q, config, initial in pending
-                ]
-            with self._tracer.span(
-                "policy_bank_collect",
-                track="policy_bank",
-                args={"cells": len(pending)},
-            ):
-                # Collect in submit order: result placement is positional,
-                # so the returned bank ordering is deterministic regardless
-                # of which worker finishes first.
-                for i, q, config, future in futures:
-                    with self._tracer.span(
-                        f"cell {q:g}qps",
-                        track="policy_bank",
-                        args={"load_qps": q, "workers": workers},
-                    ):
-                        result = future.result()
-                    self._count_cell("solve")
-                    self._commit(self._key(q, workers), config, result)
-                    results[i] = result
-        if shard_dir is not None:
-            merged = merge_run_dir(
-                shard_dir,
-                tracer=self._tracer if self._tracer.enabled else None,
-                registry=self._registry,
-            )
-            if owns_dir:
-                shutil.rmtree(shard_dir, ignore_errors=True)
-            else:
-                write_merged_artifacts(merged, shard_dir)
+                solved.append(
+                    generate_policy(
+                        config,
+                        tolerance=self._tolerance,
+                        tracer=self._tracer,
+                        initial=initial,
+                        solver="loop",
+                    )
+                )
+        return solved
 
     def cache_size(self) -> int:
         """Number of distinct (load, workers) policies generated so far."""

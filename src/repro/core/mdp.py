@@ -58,31 +58,24 @@ __all__ = [
 _FALLBACK = -1
 
 #: Recognized solver backends (see :func:`resolve_solver`).
-SOLVER_BACKENDS = ("auto", "tensor", "loop", "stacked")
+SOLVER_BACKENDS = ("stacked", "loop")
 
 
 def resolve_solver(solver: str) -> str:
-    """Resolve a ``solver=`` knob to a concrete backend.
+    """Validate a ``solver=`` knob and return it.
 
-    ``"loop"`` is the reference implementation (per-action / per-state
-    Python iteration in the fold and policy-evaluation paths);
-    ``"tensor"`` is the stacked-contraction backend
-    (:class:`repro.core.tensor.TensorizedWorkerMDP`), float-identical on
-    the value-iteration path and ≥3x faster at bench scale (gated by
-    ``benchmarks/bench_state_space.py``).  ``"auto"`` picks the tensor
-    backend — the equivalence suite keeps that substitution honest.
-
-    ``"stacked"`` is a *bank-level* backend: whole load grids solve as
-    one batched tensor program (:mod:`repro.core.bank`), dispatched in
-    :meth:`PolicyGenerator.generate_many`.  A single-MDP construction
-    under it resolves to the tensor backend — one load's stacked solve
-    *is* the tensor solve.
+    ``"stacked"`` is the fast backend: load grids solve as one batched
+    tensor program (:mod:`repro.core.bank`), and a single MDP builds as
+    :class:`repro.core.tensor.TensorizedWorkerMDP`, the one-load case of
+    that program.  ``"loop"`` is the reference oracle (per-action /
+    per-state Python iteration), float-identical on the value-iteration
+    path — ``tests/test_solver_equivalence.py`` keeps both honest.
     """
     if solver not in SOLVER_BACKENDS:
         raise ConfigurationError(
             f"unknown solver {solver!r}; expected one of {SOLVER_BACKENDS}"
         )
-    return "tensor" if solver in ("auto", "stacked") else solver
+    return solver
 
 
 @dataclass
@@ -677,18 +670,17 @@ class WorkerMDP:
 
 
 def build_worker_mdp(
-    config: WorkerMDPConfig, solver: str = "auto"
+    config: WorkerMDPConfig, solver: str = "stacked"
 ) -> WorkerMDP:
     """Construct a worker MDP from its offline inputs.
 
-    ``solver`` selects the solve backend: ``"loop"`` keeps the reference
-    per-action/per-state implementation, ``"tensor"`` builds the
-    stacked-contraction backend, and ``"auto"`` (default) resolves to
-    tensor — see :func:`resolve_solver`.
+    ``solver`` selects the solve backend: ``"stacked"`` (default) builds
+    the tensorized MDP and ``"loop"`` keeps the reference
+    per-action/per-state implementation — see :func:`resolve_solver`.
     """
-    if resolve_solver(solver) == "tensor":
-        # Local import: tensor subclasses WorkerMDP from this module.
-        from repro.core.tensor import TensorizedWorkerMDP
+    if resolve_solver(solver) == "loop":
+        return WorkerMDP(config)
+    # Local import: tensor subclasses WorkerMDP from this module.
+    from repro.core.tensor import TensorizedWorkerMDP
 
-        return TensorizedWorkerMDP(config)
-    return WorkerMDP(config)
+    return TensorizedWorkerMDP(config)

@@ -53,7 +53,6 @@ class PolicySet:
         load_grid_qps: Sequence[float],
         accuracy_gap_threshold: float = 0.01,
         max_policies: int = 64,
-        max_workers: Optional[int] = None,
         warm_start: bool = True,
     ) -> "PolicySet":
         """Generate a refined set over ``load_grid_qps``.
@@ -66,28 +65,22 @@ class PolicySet:
         Refinement proceeds in rounds: every adjacent pair currently over
         the gap threshold gets its midpoint in the *same* round, worst gaps
         first when the ``max_policies`` budget cannot cover them all.  With
-        ``max_workers > 1`` each round's midpoints (and the initial grid)
-        solve concurrently across processes; results are bit-identical to
-        the serial order because every cell runs the same solve path.  With
         ``warm_start`` each midpoint's value iteration is seeded from the
         lower neighbour's converged values — fewer sweeps, same fixed
         point.
 
-        Every cell (initial grid and refinement midpoints alike) solves
-        with the generator's ``solver=`` backend
-        (``PolicyGenerator(..., solver="auto"|"tensor"|"loop"|"stacked")``);
-        since backends are value-identical, refined sets are byte-identical
-        regardless of which backend produced them.  With the ``stacked``
-        backend (or ``auto`` on a large enough serial grid) each round —
-        the initial grid, then every round's midpoints — solves as *one*
-        batched :class:`repro.core.bank.StackedBankMDP` program, with the
-        round's warm starts threaded through as the stacked solve's
-        per-cell ``initials``.
+        Each round — the initial grid, then every round's midpoints —
+        solves as *one* batched :class:`repro.core.bank.StackedBankMDP`
+        program, with the round's warm starts threaded through as the
+        stacked solve's per-cell ``initials``.  Under the generator's
+        ``solver="loop"`` oracle the same rounds solve cell by cell; the
+        backends are value-identical, so refined sets are byte-identical
+        either way.
         """
         if not load_grid_qps:
             raise PolicyError("load grid must be non-empty")
         loads = sorted(set(float(q) for q in load_grid_qps))
-        batch = generator.generate_many(loads, max_workers=max_workers)
+        batch = generator.generate_many(loads)
         results = dict(zip(loads, batch))
 
         def gap(a: float, b: float) -> float:
@@ -115,9 +108,7 @@ class PolicySet:
                     initials[mid] = results[a].values
             if not midpoints:
                 break
-            batch = generator.generate_many(
-                midpoints, max_workers=max_workers, initials=initials
-            )
+            batch = generator.generate_many(midpoints, initials=initials)
             results.update(zip(midpoints, batch))
             loads = sorted(results)
 

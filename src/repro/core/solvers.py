@@ -11,9 +11,9 @@ exposing the :class:`WorkerMDP` backup protocol::
 so small dense MDPs used in the test suite can exercise the same solvers.
 
 The *implementation* of those backups is selected when the MDP is built:
-``build_worker_mdp(config, solver="auto"|"tensor"|"loop")`` returns either
-the reference loop backend or the tensorized one
-(:mod:`repro.core.tensor`), and the solvers here are backend-agnostic —
+``build_worker_mdp(config, solver="stacked"|"loop")`` returns either the
+tensorized single-load MDP (:mod:`repro.core.tensor`) or the reference
+loop backend, and the solvers here are backend-agnostic —
 value iteration is float-identical across backends (asserted by
 ``tests/test_solver_equivalence.py``), policy iteration agrees at the
 greedy-table level.  Both raise :class:`~repro.errors.SolverError` with
@@ -59,6 +59,23 @@ class SolveStats:
     warm_started: bool = False
 
 
+def _check_solve_args(tolerance: float, max_iterations: int) -> None:
+    """Reject a value-iteration budget that cannot end in a real verdict.
+
+    A non-finite ``tolerance`` would pass the first sweep (``inf``) or
+    never pass one (``nan``), so anything outside ``0 < tolerance < inf``
+    is an error, as is a non-positive sweep ceiling.
+    """
+    if not 0.0 < tolerance < float("inf"):
+        raise SolverError(
+            f"tolerance must be finite and > 0, got {tolerance}"
+        )
+    if max_iterations < 1:
+        raise SolverError(
+            f"max_iterations must be >= 1, got {max_iterations}"
+        )
+
+
 def value_iteration(
     mdp,
     tolerance: float = 1e-7,
@@ -81,12 +98,7 @@ def value_iteration(
     plus one ``bellman_sweep`` wall-clock span per backup — the phase
     the profiler (:class:`repro.obs.profile.PhaseProfiler`) aggregates.
     """
-    if tolerance <= 0:
-        raise SolverError(f"tolerance must be > 0, got {tolerance}")
-    if max_iterations < 1:
-        raise SolverError(
-            f"max_iterations must be >= 1, got {max_iterations}"
-        )
+    _check_solve_args(tolerance, max_iterations)
     tracing = tracer is not None and tracer.enabled
     history: Optional[list] = [] if (record_residuals or tracing) else None
     values = mdp.initial_values() if initial is None else initial.copy()

@@ -1,4 +1,4 @@
-"""Tensorized MDP solver backend (``solver="tensor"``).
+"""Tensorized single-load MDP (``solver="stacked"`` with one load).
 
 :class:`TensorizedWorkerMDP` is a drop-in :class:`~repro.core.mdp.WorkerMDP`
 whose Bellman sweeps are stacked tensor contractions instead of per-action /
@@ -34,11 +34,6 @@ output across views, batching modes, and extensions;
 Policy evaluation swaps per-state ``dot`` calls for one ``gemv``, which
 reassociates the reductions — policy iteration therefore agrees with the
 loop backend at the greedy-table level (asserted) rather than bitwise.
-
-The chain matrices are dense by default; when SciPy is available and the
-policy-induced chain is sparse enough, :meth:`policy_rows_operator`
-returns a CSR operator instead so stationary sweeps on banded kernels
-scale past dense ``|S|^2`` cost (opt-in, never used on gated paths).
 """
 
 from __future__ import annotations
@@ -49,15 +44,7 @@ import numpy as np
 
 from repro.core.mdp import _FALLBACK, WorkerMDP
 
-try:  # pragma: no cover - exercised only where scipy is installed
-    from scipy import sparse as _sparse
-except Exception:  # pragma: no cover - scipy is optional at runtime
-    _sparse = None
-
 __all__ = ["TensorizedWorkerMDP"]
-
-#: Nonzero fraction below which the sparse chain operator pays off.
-_SPARSE_DENSITY_CUTOFF = 0.25
 
 
 class TensorizedWorkerMDP(WorkerMDP):
@@ -80,7 +67,7 @@ class TensorizedWorkerMDP(WorkerMDP):
 
     @property
     def solver(self) -> str:
-        return "tensor"
+        return "stacked"
 
     # ------------------------------------------------------------------
     # Stacked partial-drain plan
@@ -261,21 +248,3 @@ class TensorizedWorkerMDP(WorkerMDP):
         if self._pe_table is not None and table == self._pe_table:
             return self._pe_rows
         return super().policy_rows(table)
-
-    def policy_rows_operator(self, table: Dict[int, Tuple[int, int]]):
-        """The induced chain as a sparse operator when that pays off.
-
-        Returns a ``scipy.sparse.csr_matrix`` when SciPy is installed and
-        the chain's density is below ``_SPARSE_DENSITY_CUTOFF`` (banded
-        kernels at fine discretizations), else the dense row matrix.
-        Sparse matvecs reassociate sums, so this is never used on the
-        float-``==``-gated paths — it serves large-scale occupancy
-        studies where the dense ``|S|^2`` sweep does not fit the budget.
-        """
-        rows = self.policy_rows(table)
-        if _sparse is None:
-            return rows
-        density = np.count_nonzero(rows) / rows.size
-        if density >= _SPARSE_DENSITY_CUTOFF:
-            return rows
-        return _sparse.csr_matrix(rows)

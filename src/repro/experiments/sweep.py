@@ -2,8 +2,7 @@
 
 Every evaluation figure is a grid of independent ``run_method`` cells —
 (method, task, SLO, workers, workload, seed) — so figures fan out across a
-``ProcessPoolExecutor`` the same way the policy bank does
-(:meth:`repro.core.generator.PolicyGenerator.generate_many`):
+``ProcessPoolExecutor``:
 
 - **Deterministic positional collection.**  Cells are enumerated in the
   figure's nested-loop order, submitted in that order, and results are

@@ -68,11 +68,8 @@ def _count_lines(path: Path) -> int:
 
 
 def _find_merged_jsonl(run_dir: Path) -> Optional[Path]:
-    direct = run_dir / "merged.jsonl"
-    if direct.is_file():
-        return direct
-    batches = sorted(run_dir.glob("batch-*/merged.jsonl"))
-    return batches[-1] if batches else None
+    merged = run_dir / "merged.jsonl"
+    return merged if merged.is_file() else None
 
 
 def _summary_rows(summary: TraceSummary) -> List[Tuple[str, str]]:
@@ -134,9 +131,6 @@ def _load_attribution(run_dir: Path) -> Optional[Dict[str, Any]]:
     direct = run_dir / "attribution.json"
     if direct.is_file():
         return json.loads(direct.read_text())
-    batches = sorted(run_dir.glob("batch-*/attribution.json"))
-    if batches:
-        return json.loads(batches[-1].read_text())
     merged = _find_merged_jsonl(run_dir)
     if merged is None:
         return None
@@ -218,9 +212,7 @@ def _gather_sections(run_dir: Path) -> List[Tuple[str, List[Tuple[str, str]]]]:
     sections: List[Tuple[str, List[Tuple[str, str]]]] = []
 
     shard_rows: List[Tuple[str, str]] = []
-    for path in sorted(run_dir.glob("shard-*.jsonl")) + sorted(
-        run_dir.glob("batch-*/shard-*.jsonl")
-    ):
+    for path in sorted(run_dir.glob("shard-*.jsonl")):
         shard_rows.append(
             (str(path.relative_to(run_dir)), f"{_count_lines(path) - 1} records")
         )

@@ -106,7 +106,8 @@ class TestGen:
         ]
 
     def test_stacked_solver_rejects_jobs(self, tmp_path):
-        with pytest.raises(SystemExit, match="stacked"):
+        # gen has no process fan-out, so --jobs is an unknown flag.
+        with pytest.raises(SystemExit):
             main(
                 [
                     "gen",
@@ -124,6 +125,12 @@ class TestGen:
                     str(tmp_path / "pol"),
                 ]
             )
+        assert not (tmp_path / "pol").exists()
+
+    def test_retired_solver_names_rejected(self, tmp_path):
+        for name in ("auto", "tensor"):
+            with pytest.raises(SystemExit):
+                main(["gen", "--solver", name, "--out", str(tmp_path / "pol")])
 
 
 class TestSimulateAndReport:

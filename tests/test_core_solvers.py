@@ -74,9 +74,11 @@ class TestValueIterationOnDenseMDP:
         with pytest.raises(SolverError):
             value_iteration(DenseMDP(), tolerance=1e-12, max_iterations=3)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(SolverError):
-            value_iteration(DenseMDP(), tolerance=0.0)
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_tolerance(self, tolerance):
+        # inf would pass the first sweep and nan would never pass one.
+        with pytest.raises(SolverError, match="tolerance"):
+            value_iteration(DenseMDP(), tolerance=tolerance)
 
     def test_warm_start(self):
         mdp = DenseMDP()
@@ -213,7 +215,7 @@ class TestIterationCeilings:
 
     def test_vi_cap_on_worker_mdp_backends(self, tiny_config):
         """The ceiling fires identically on both solver backends."""
-        for solver in ("loop", "tensor"):
+        for solver in ("loop", "stacked"):
             mdp = build_worker_mdp(tiny_config, solver=solver)
             with pytest.raises(SolverError, match="did not converge"):
                 value_iteration(mdp, tolerance=1e-13, max_iterations=2)

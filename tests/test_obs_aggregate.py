@@ -282,25 +282,6 @@ class TestChromeTraceSplitProcesses:
         assert doc["displayTimeUnit"]
 
 
-class TestGenerateManyShipping:
-    def test_parallel_generate_many_merges_solver_spans(self, tmp_path, tiny_config):
-        from repro.core.generator import PolicyGenerator
-
-        tracer = RecordingTracer()
-        run_dir = tmp_path / "bank"
-        generator = PolicyGenerator(
-            tiny_config, tracer=tracer, run_dir=run_dir
-        )
-        results = generator.generate_many([20.0, 30.0], max_workers=2)
-        assert len(results) == 2
-        tracks = tracer.tracks()
-        assert any(t.startswith("w") and t.endswith("/generator") for t in tracks)
-        # Each parallel batch writes its own subdirectory of artifacts.
-        batches = sorted(run_dir.glob("batch-*"))
-        assert batches
-        assert (batches[0] / "merged.jsonl").is_file()
-
-
 class TestTruncatedShards:
     """A crashed worker tears its shard mid-line; merging must degrade
     gracefully: every record before the tear survives, the torn line is

@@ -1,11 +1,14 @@
-"""Policy-bank generation: parallel/serial equivalence, caching, warm starts."""
+"""Policy-bank generation: one routing rule, caching, warm starts."""
 
 from __future__ import annotations
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cache import PolicyCache
 from repro.core.generator import PolicyGenerator, generate_policy
@@ -28,43 +31,104 @@ def _bank_bytes(results) -> str:
 
 
 # ----------------------------------------------------------------------
-# Parallel == serial
+# Routing: every miss solves on the stacked bank, loop is the oracle
 # ----------------------------------------------------------------------
-def test_parallel_bank_matches_serial(tiny_config):
-    serial = PolicyGenerator(tiny_config, tolerance=TOL).generate_many(LOADS)
-    parallel = PolicyGenerator(tiny_config, tolerance=TOL).generate_many(
-        LOADS, max_workers=2
+@pytest.fixture(scope="module")
+def loop_reference():
+    """Loop-oracle solves keyed by (load, warm-started), shared across
+    hypothesis examples so each reference is solved once."""
+    solved = {}
+
+    def reference(config, load: float, initial):
+        key = (load, initial is not None)
+        if key not in solved:
+            solved[key] = generate_policy(
+                config.with_load(load), tolerance=TOL, initial=initial,
+                solver="loop",
+            )
+        return solved[key]
+
+    return reference
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    loads=st.lists(st.sampled_from(LOADS), min_size=1, max_size=len(LOADS),
+                   unique=True),
+    prewarm=st.sets(st.sampled_from(LOADS), max_size=2),
+    layer=st.sampled_from(["memory", "disk"]),
+    warm=st.booleans(),
+)
+def test_generate_many_matches_per_load_loop(tiny_config, loop_reference,
+                                             loads, prewarm, layer, warm):
+    seed = loop_reference(tiny_config, 20.0, None).values
+    initials = {q: seed for q in loads} if warm else None
+    with tempfile.TemporaryDirectory() as tmp:
+        disk = (lambda: PolicyCache(directory=tmp)) if layer == "disk" else None
+        generator = PolicyGenerator(
+            tiny_config, tolerance=TOL, cache=None if disk is None else disk()
+        )
+        for q in sorted(prewarm):
+            generator.generate(q)
+        if disk is not None:
+            generator = PolicyGenerator(tiny_config, tolerance=TOL, cache=disk())
+        results = generator.generate_many(loads, initials=initials)
+    assert [r.policy.load_qps for r in results] == loads
+    for q, result in zip(loads, results):
+        # A pre-warmed cell comes back as its cold solve; a miss honours
+        # the warm start.
+        ref = loop_reference(
+            tiny_config, q, seed if warm and q not in prewarm else None
+        )
+        assert _policy_bytes(result) == _policy_bytes(ref)
+        assert result.guarantees == ref.guarantees
+        assert result.iterations == ref.iterations
+        assert result.from_cache == (layer == "disk" and q in prewarm)
+
+
+def test_generate_is_a_one_load_batch(tiny_config):
+    one = PolicyGenerator(tiny_config, tolerance=TOL).generate(LOADS[1])
+    (batch,) = PolicyGenerator(tiny_config, tolerance=TOL).generate_many(
+        [LOADS[1]]
     )
-    assert _bank_bytes(serial) == _bank_bytes(parallel)
-    for s, p in zip(serial, parallel):
-        assert s.guarantees == p.guarantees
-        assert s.iterations == p.iterations
+    assert _policy_bytes(one) == _policy_bytes(batch)
+    assert one.guarantees == batch.guarantees
+    assert one.iterations == batch.iterations
+
+
+def test_generator_rejects_unknown_solver(tiny_config):
+    for name in ("auto", "tensor"):
+        with pytest.raises(ConfigurationError):
+            PolicyGenerator(tiny_config, solver=name)
 
 
 def test_generate_many_preserves_load_order(tiny_config):
     generator = PolicyGenerator(tiny_config, tolerance=TOL)
     # Pre-warm one middle cell so the pending set is a strict subset.
     generator.generate(LOADS[2])
-    results = generator.generate_many(LOADS, max_workers=2)
+    results = generator.generate_many(LOADS)
     assert [r.policy.load_qps for r in results] == LOADS
 
 
-def test_parallel_bank_emits_spans_and_counters(tiny_config):
+def test_stacked_bank_emits_spans_and_counters(tiny_config):
     registry = MetricsRegistry()
     tracer = RecordingTracer()
     generator = PolicyGenerator(
         tiny_config, tolerance=TOL, tracer=tracer, registry=registry
     )
-    generator.generate_many(LOADS, max_workers=2)
+    generator.generate_many(LOADS)
+    generator.generate(10.0)  # a single miss is a one-cell bank
     bank_spans = [s.name for s in tracer.spans if s.track == "policy_bank"]
-    assert "policy_bank_submit" in bank_spans
-    assert "policy_bank_collect" in bank_spans
-    assert sum(s.startswith("cell ") for s in bank_spans) == len(LOADS)
+    assert bank_spans == ["policy_bank_stacked", "policy_bank_stacked"]
     solves = registry.counter(
         "policy_bank_cells_total",
         labels={"source": "solve"},
     )
-    assert solves.value == len(LOADS)
+    assert solves.value == len(LOADS) + 1
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +184,7 @@ def test_tolerance_partitions_the_cache(tiny_config, tmp_path):
 # ----------------------------------------------------------------------
 def test_stacked_bank_matches_serial(tiny_config):
     serial = PolicyGenerator(
-        tiny_config, tolerance=TOL, solver="tensor"
+        tiny_config, tolerance=TOL, solver="loop"
     ).generate_many(LOADS)
     stacked = PolicyGenerator(
         tiny_config, tolerance=TOL, solver="stacked"
@@ -131,43 +195,10 @@ def test_stacked_bank_matches_serial(tiny_config):
         assert s.iterations == p.iterations
 
 
-def test_stacked_rejects_process_fanout(tiny_config):
-    generator = PolicyGenerator(tiny_config, tolerance=TOL, solver="stacked")
-    with pytest.raises(ConfigurationError, match="max_workers"):
-        generator.generate_many(LOADS, max_workers=2)
-
-
-def test_auto_routes_serial_grids_to_stacked(tiny_config):
-    tracer = RecordingTracer()
-    generator = PolicyGenerator(tiny_config, tolerance=TOL, tracer=tracer)
-    generator.generate_many(LOADS)  # 4 cells >= STACKED_AUTO_MIN_CELLS
-    spans = [s.name for s in tracer.spans if s.track == "policy_bank"]
-    assert "policy_bank_stacked" in spans
-
-
-def test_auto_keeps_small_grids_serial(tiny_config):
-    tracer = RecordingTracer()
-    PolicyGenerator(tiny_config, tolerance=TOL, tracer=tracer).generate_many(
-        LOADS[:2]
-    )
-    spans = [s.name for s in tracer.spans if s.track == "policy_bank"]
-    assert "policy_bank_stacked" not in spans
-
-
-def test_explicit_workers_keep_the_pool_under_auto(tiny_config):
-    tracer = RecordingTracer()
-    PolicyGenerator(tiny_config, tolerance=TOL, tracer=tracer).generate_many(
-        LOADS, max_workers=2
-    )
-    spans = [s.name for s in tracer.spans if s.track == "policy_bank"]
-    assert "policy_bank_stacked" not in spans
-    assert "policy_bank_submit" in spans
-
-
 def test_stacked_shares_cache_keys_with_serial(tiny_config, tmp_path):
     cache_a = PolicyCache(directory=tmp_path)
     bank = PolicyGenerator(
-        tiny_config, tolerance=TOL, solver="tensor", cache=cache_a
+        tiny_config, tolerance=TOL, solver="loop", cache=cache_a
     ).generate_many(LOADS)
     assert cache_a.stores == len(LOADS)
 
@@ -183,7 +214,7 @@ def test_stacked_shares_cache_keys_with_serial(tiny_config, tmp_path):
 def test_stacked_threads_initials(tiny_config):
     seed = PolicyGenerator(tiny_config, tolerance=TOL).generate(20.0)
     cold = PolicyGenerator(
-        tiny_config, tolerance=TOL, solver="tensor"
+        tiny_config, tolerance=TOL, solver="loop"
     ).generate_many(LOADS)
     warm = PolicyGenerator(
         tiny_config, tolerance=TOL, solver="stacked"

@@ -1,6 +1,7 @@
-"""Exactness contract between the ``loop`` and ``tensor`` solver backends.
+"""Exactness contract between the ``loop`` oracle and the ``stacked`` backend.
 
-The tensorized backend (:class:`repro.core.tensor.TensorizedWorkerMDP`) is
+The tensorized single-load MDP (:class:`repro.core.tensor.TensorizedWorkerMDP`,
+the one-load case of the stacked bank) is
 not "numerically close" to the reference loop — it is required to be
 *float-identical* on the value-iteration path and byte-identical in every
 serialized artifact.  This suite is the contract:
@@ -37,7 +38,7 @@ from repro.core.guarantees import (
 from repro.core.mdp import WorkerMDP, build_worker_mdp, resolve_solver
 from repro.core.solvers import policy_iteration, value_iteration
 from repro.core.tensor import TensorizedWorkerMDP
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SolverError
 from repro.profiles.latency import LinearLatencyModel
 from repro.profiles.models import ModelProfile, ModelSet
 from tests.conftest import make_tiny_model_set
@@ -77,22 +78,20 @@ def _config(**overrides) -> WorkerMDPConfig:
 
 class TestBackendDispatch:
     def test_resolve_solver(self):
-        assert resolve_solver("auto") == "tensor"
-        assert resolve_solver("tensor") == "tensor"
+        assert resolve_solver("stacked") == "stacked"
         assert resolve_solver("loop") == "loop"
-        # "stacked" is a bank-level routing choice; a single-MDP build
-        # resolves to the per-load tensor backend it is bitwise-equal to.
-        assert resolve_solver("stacked") == "tensor"
 
     def test_resolve_solver_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            resolve_solver("gpu")
+        for name in ("gpu", "auto", "tensor"):
+            with pytest.raises(ConfigurationError):
+                resolve_solver(name)
 
     def test_build_worker_mdp_dispatch(self):
         config = _config()
-        auto = build_worker_mdp(config)
-        assert isinstance(auto, TensorizedWorkerMDP)
-        assert auto.solver == "tensor"
+        # A single-MDP build under "stacked" is the one-load bank cell.
+        stacked = build_worker_mdp(config)
+        assert isinstance(stacked, TensorizedWorkerMDP)
+        assert stacked.solver == "stacked"
         loop = build_worker_mdp(config, solver="loop")
         assert isinstance(loop, WorkerMDP)
         assert not isinstance(loop, TensorizedWorkerMDP)
@@ -136,7 +135,7 @@ class TestGoldenEquivalence:
     def test_backends_agree_exactly(self, overrides, tmp_path):
         config = _config(**overrides)
         loop = build_worker_mdp(config, solver="loop")
-        tensor = build_worker_mdp(config, solver="tensor")
+        tensor = build_worker_mdp(config, solver="stacked")
 
         # Value iteration: bitwise-identical trajectories.
         vi_loop = value_iteration(loop, tolerance=1e-7)
@@ -170,7 +169,7 @@ class TestGoldenEquivalence:
     def test_generate_policy_backend_interchangeable(self, tmp_path):
         config = _config(batching=BatchingMode.VARIABLE)
         result_loop = generate_policy(config, solver="loop")
-        result_tensor = generate_policy(config, solver="tensor")
+        result_tensor = generate_policy(config, solver="stacked")
         path_loop = tmp_path / "loop.json"
         path_tensor = tmp_path / "tensor.json"
         result_loop.policy.save(path_loop)
@@ -183,7 +182,7 @@ class TestChainRows:
     def test_policy_rows_identical_and_stochastic(self):
         config = _config(batching=BatchingMode.VARIABLE)
         loop = build_worker_mdp(config, solver="loop")
-        tensor = build_worker_mdp(config, solver="tensor")
+        tensor = build_worker_mdp(config, solver="stacked")
         stats = value_iteration(tensor, tolerance=1e-7)
         table = tensor.backup(stats.values, want_greedy=True).greedy
         rows_loop = loop.policy_rows(table)
@@ -193,49 +192,6 @@ class TestChainRows:
         np.testing.assert_allclose(
             rows_tensor.sum(axis=1), 1.0, atol=1e-8
         )
-
-    def test_policy_rows_operator_matches_dense(self):
-        config = _config(batching=BatchingMode.VARIABLE, fld_resolution=12)
-        tensor = build_worker_mdp(config, solver="tensor")
-        stats = value_iteration(tensor, tolerance=1e-7)
-        table = tensor.backup(stats.values, want_greedy=True).greedy
-        dense = tensor.policy_rows(table)
-        operator = tensor.policy_rows_operator(table)
-        probe = np.linspace(-1.0, 1.0, dense.shape[0])
-        np.testing.assert_allclose(operator @ probe, dense @ probe, atol=1e-12)
-
-    def test_sparse_operator_stationary_matches_dense(self):
-        """The opt-in CSR chain operator agrees with the dense power
-        iteration to allclose (sparse matvecs reassociate sums)."""
-        pytest.importorskip("scipy")
-        config = _config(batching=BatchingMode.VARIABLE, fld_resolution=12)
-        tensor = build_worker_mdp(config, solver="tensor")
-        stats = value_iteration(tensor, tolerance=1e-7)
-        policy = tensor.extract_policy(stats.values)
-        dense = stationary_distribution(tensor, policy)
-        sparse = stationary_distribution(tensor, policy, operator="sparse")
-        np.testing.assert_allclose(sparse, dense, atol=1e-9)
-        occ_dense = stationary_occupancy(tensor, policy)
-        occ_sparse = stationary_occupancy(tensor, policy, operator="auto")
-        assert occ_sparse.probs.keys() == occ_dense.probs.keys()
-        for key, p in occ_dense.probs.items():
-            assert occ_sparse.probs[key] == pytest.approx(p, abs=1e-9)
-
-    def test_auto_operator_falls_back_on_loop_backend(self):
-        config = _config(batching=BatchingMode.VARIABLE)
-        loop = build_worker_mdp(config, solver="loop")
-        tensor = build_worker_mdp(config, solver="tensor")
-        stats = value_iteration(tensor, tolerance=1e-7)
-        policy = tensor.extract_policy(stats.values)
-        # "auto" on a backend without a CSR operator is the dense path,
-        # bitwise: the loop backend exposes no policy_rows_operator.
-        dense = stationary_distribution(loop, policy)
-        auto = stationary_distribution(loop, policy, operator="auto")
-        assert np.array_equal(auto, dense)
-        with pytest.raises(ConfigurationError):
-            stationary_distribution(loop, policy, operator="sparse")
-        with pytest.raises(ConfigurationError):
-            stationary_distribution(tensor, policy, operator="csr")
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +219,7 @@ class TestStackedBank:
         stats = StackedBankMDP(configs).solve(tolerance=1e-7)
         for config, s in zip(configs, stats):
             ref = value_iteration(
-                build_worker_mdp(config, solver="tensor"), tolerance=1e-7
+                build_worker_mdp(config, solver="stacked"), tolerance=1e-7
             )
             assert np.array_equal(s.values, ref.values)
             assert s.iterations == ref.iterations
@@ -274,7 +230,7 @@ class TestStackedBank:
         configs = [base.with_load(q) for q in BANK_LOADS]
         results = solve_stacked_bank(configs)
         for config, result in zip(configs, results):
-            ref = generate_policy(config, solver="tensor")
+            ref = generate_policy(config, solver="stacked")
             stacked_path = tmp_path / "stacked.json"
             ref_path = tmp_path / "ref.json"
             result.policy.save(stacked_path)
@@ -322,6 +278,12 @@ class TestStackedBank:
         with pytest.raises(ConfigurationError):
             bank.solve(initials=[None])
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, np.inf, np.nan])
+    def test_stacked_rejects_bad_tolerance(self, tolerance):
+        bank = StackedBankMDP([_config()])
+        with pytest.raises(SolverError, match="tolerance"):
+            bank.solve(tolerance=tolerance)
+
 
 # ----------------------------------------------------------------------
 # Property tests: random small MDPs
@@ -360,7 +322,7 @@ class TestRandomEquivalence:
             pareto_prune=False,
         )
         loop = build_worker_mdp(config, solver="loop")
-        tensor = build_worker_mdp(config, solver="tensor")
+        tensor = build_worker_mdp(config, solver="stacked")
         vi_loop = value_iteration(loop, tolerance=1e-6)
         vi_tensor = value_iteration(tensor, tolerance=1e-6)
         assert np.array_equal(vi_loop.values, vi_tensor.values)
@@ -388,7 +350,7 @@ class TestRandomEquivalence:
             pareto_prune=False,
         )
         loop = build_worker_mdp(config, solver="loop")
-        tensor = build_worker_mdp(config, solver="tensor")
+        tensor = build_worker_mdp(config, solver="stacked")
         stats = value_iteration(tensor, tolerance=1e-6)
         policy = tensor.extract_policy(stats.values)
         occ_loop = stationary_occupancy(loop, policy)
@@ -448,7 +410,7 @@ class TestRandomEquivalence:
         stats = StackedBankMDP(configs).solve(tolerance=1e-6)
         for config, s in zip(configs, stats):
             ref = value_iteration(
-                build_worker_mdp(config, solver="tensor"), tolerance=1e-6
+                build_worker_mdp(config, solver="stacked"), tolerance=1e-6
             )
             assert np.array_equal(s.values, ref.values)
             assert s.iterations == ref.iterations
