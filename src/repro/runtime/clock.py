@@ -1,9 +1,12 @@
 """Scaled wall-clock time for the runtime.
 
-All runtime components share one :class:`VirtualClock`.  Virtual time is
+The serving runtime paces one :class:`VirtualClock`.  Virtual time is
 measured in milliseconds, like everywhere else in the library; the
 ``time_scale`` factor maps it onto wall-clock seconds (``time_scale = 0.1``
-runs 10x faster than real time).
+runs 10x faster than real time).  Each of the runtime's event-loop sleeps
+targets an absolute virtual deadline through
+:meth:`VirtualClock.wall_s_until`, so early wake-ups and per-sleep
+overhead never accumulate into pacing drift.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ class VirtualClock:
     def restart(self) -> None:
         """Re-zero the clock (``now_ms`` starts counting from here).
 
-        The sharded controller restarts the shared clock once every
-        shard loop is up, so thread-spawn latency is never charged to
-        the first arrivals.
+        The sharded controller restarts the clock once its event loop
+        is up, so loop start-up is never charged to the first arrivals.
         """
         self._start = time.monotonic()
 
@@ -44,21 +46,3 @@ class VirtualClock:
         """Wall seconds until the clock reaches ``virtual_deadline_ms``
         (negative when the deadline has already passed)."""
         return (virtual_deadline_ms - self.now_ms()) * self._scale / 1000.0
-
-    def sleep_ms(self, virtual_ms: float) -> None:
-        """Block for ``virtual_ms`` of virtual time."""
-        if virtual_ms > 0:
-            time.sleep(virtual_ms / 1000.0 * self._scale)
-
-    def sleep_until_ms(self, virtual_deadline_ms: float) -> None:
-        """Block until the virtual clock reaches ``virtual_deadline_ms``.
-
-        Loops on the *absolute* deadline instead of issuing one relative
-        sleep: ``time.sleep`` may wake early (signals) and a single shot
-        would accumulate the shortfall into pacing drift.
-        """
-        while True:
-            remaining_s = self.wall_s_until(virtual_deadline_ms)
-            if remaining_s <= 0:
-                return
-            time.sleep(remaining_s)

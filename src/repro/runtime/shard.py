@@ -1,10 +1,13 @@
-"""Sharded asyncio serving tier (ROADMAP "million-user-scale serving").
+"""Sharded asyncio serving tier: the repo's one serving runtime.
 
-The legacy :class:`~repro.runtime.controller.CentralController` is one
-thread per worker plus a polling drain loop — fine for demos, far from the
-simulator's throughput ceiling.  This module rebuilds the runtime as N
-controller *shards*, each owning a worker group and an event-driven
-asyncio dispatch loop:
+The paper's prototype (§6) is one central controller with per-worker
+model selectors.  :class:`ShardedController` reproduces it as ``S``
+controller *shards*, each owning a worker group, its own selector,
+auditor, attributor and metrics registry.  Shards are *logical*
+partitions: every worker's dispatch coroutine runs on one asyncio event
+loop in the calling thread (in-process threads under the GIL would only
+add cost), so the layout fixes how selectors and observability are
+partitioned, never what is decided:
 
 - **Consistent round-robin.**  Query ``i`` is assigned to global worker
   ``i mod G`` (``G = num_shards * workers_per_shard``) and worker ``g``
@@ -34,8 +37,13 @@ asyncio dispatch loop:
 - **Per-shard observability.**  With a ``run_dir``, every worker writes a
   :class:`~repro.obs.aggregate.ShardTracer` feed (``shard-<gid>.jsonl``)
   in the simulator's event schema, and each shard publishes periodic
-  atomic metrics/attribution snapshots — so ``ramsis top``, ``ramsis
-  report`` and ``ramsis explain`` work unchanged against a sharded run.
+  atomic metrics/attribution snapshots from a publisher thread (the one
+  thread besides the caller's, so snapshots land while the loop is busy)
+  — so ``ramsis top``, ``ramsis report`` and ``ramsis explain`` work
+  unchanged against a sharded run.
+
+Only per-worker-queue selectors are served: the central-queue baselines
+(``QueueScope.CENTRAL``) need the simulator's central discipline.
 """
 
 from __future__ import annotations
@@ -55,10 +63,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.profiles.models import ModelSet
 from repro.runtime.clock import VirtualClock
 from repro.runtime.workload import WorkloadGenerator
-from repro.selectors.base import ModelSelector, SelectorContext
+from repro.selectors.base import ModelSelector, QueueScope, SelectorContext
 from repro.sim.latency_model import LatencyModel, StochasticLatency
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
+from repro.sim.monitor import OracleLoadMonitor
 from repro.sim.queries import Query
+from repro.sim.simulator import sorted_arrivals
 
 __all__ = [
     "AdmissionControl",
@@ -173,7 +183,7 @@ class _WorkerState:
 
 
 class _Shard:
-    """One controller shard: an event loop, a worker group, a selector."""
+    """One logical controller shard: a worker group and its selector."""
 
     def __init__(self, index: int, workers: List[_WorkerState]):
         self.index = index
@@ -183,21 +193,27 @@ class _Shard:
         self.attributor = None
         self.registry: Optional[MetricsRegistry] = None
         self.live: Optional[MetricsCollector] = None
-        self.error: Optional[BaseException] = None
 
 
 class ShardedController:
-    """N asyncio controller shards serving one trace deterministically.
+    """N logical controller shards serving one trace deterministically.
 
     Parameters
     ----------
-    model_set, slo_ms, max_batch_size, latency_model, time_scale, seed:
-        As in :class:`~repro.runtime.controller.CentralController`.
-        Worker ``g`` clones the latency model with ``seed + 17 * g`` —
+    model_set, slo_ms, max_batch_size:
+        The served models, the latency SLO and the largest batch.
+    latency_model:
+        Execution-latency model (default: stochastic, seeded
+        ``seed + 1``).  Worker ``g`` clones it with ``seed + 17 * g`` —
         the same per-global-worker seeding regardless of shard layout.
+    time_scale:
+        Wall seconds per virtual second in paced mode (``0.1`` replays
+        10x faster than real time, preserving every relative timing).
+    seed:
+        Seeds arrival sampling and the per-worker latency clones.
     num_shards, workers_per_shard:
         The shard topology; ``G = num_shards * workers_per_shard`` global
-        workers in total.
+        workers in total, all served on one event loop.
     admission:
         Optional :class:`AdmissionControl` applied at arrival.
     drop_late:
@@ -214,10 +230,11 @@ class ShardedController:
         metrics/attribution snapshots there;
         :func:`repro.obs.aggregate.merge_run_dir` folds the feeds back
         into one run — float-exactly, in any shard layout.
-    load_probe:
-        Deterministic anticipated-load function of virtual time;
-        defaults to the trace oracle (§7.2's monitor setting, and the
-        only choice that keeps decisions layout-independent).
+
+    Anticipated load comes from the trace oracle
+    (:class:`~repro.sim.monitor.OracleLoadMonitor`, §7.2's monitor
+    setting): a deterministic function of virtual time, so decisions are
+    layout-independent and match the simulator's.
     """
 
     def __init__(
@@ -235,7 +252,6 @@ class ShardedController:
         paced: bool = True,
         run_dir: Optional[str] = None,
         snapshot_interval_s: float = 0.5,
-        load_probe: Optional[Callable[[float], float]] = None,
     ) -> None:
         if num_shards < 1:
             raise SimulationError(f"num_shards must be >= 1, got {num_shards}")
@@ -257,9 +273,9 @@ class ShardedController:
         self._paced = paced
         self._run_dir = run_dir
         self._snapshot_interval_s = snapshot_interval_s
-        self._load_probe = load_probe
         self._shards: List[_Shard] = []
         self._clock: Optional[VirtualClock] = None
+        self._anticipated_load: Optional[Callable[[float], float]] = None
         self._policy_swaps = 0
 
     # ------------------------------------------------------------------
@@ -274,21 +290,12 @@ class ShardedController:
         no batch is ever stalled or served by a half-initialized
         selector.  A :class:`~repro.selectors.ramsis.RamsisSelector`
         built with ``on_policy_change`` re-arms the shard's auditor as a
-        side effect of its first post-swap decision.
+        side effect of its first post-swap decision.  A central-queue
+        selector is rejected before any shard's selector changes.
         """
         if not self._shards:
             raise SimulationError("hot_swap() requires an active or completed run")
-        context = SelectorContext(
-            model_set=self._model_set,
-            slo_ms=self._slo_ms,
-            num_workers=self._total_workers,
-            max_batch_size=self._max_batch_size,
-        )
-        fresh = []
-        for shard in self._shards:
-            selector = selector_factory(shard.index)
-            selector.bind(context)
-            fresh.append(selector)
+        fresh = self._build_selectors(selector_factory)
         for shard, selector in zip(self._shards, fresh):
             shard.selector = selector
         self._policy_swaps += 1
@@ -307,65 +314,58 @@ class ShardedController:
     ) -> ShardedReport:
         """Serve one trace across the shards; blocks until drained.
 
-        ``selector_factory(shard_index)`` builds each shard's selector
-        (per-shard instances keep hot state off the cross-thread path).
+        ``selector_factory(shard_index)`` builds each shard's selector;
+        it must keep per-worker queues (``QueueScope.PER_WORKER``).
+        ``arrivals`` replays an explicit timestamp array (sorted first
+        when it is not monotone, exactly as ``Simulation.run`` does)
+        instead of sampling ``trace`` under ``pattern``.
         ``auditors`` / ``attributors`` optionally attach one
         :class:`~repro.obs.audit.GuaranteeAuditor` /
         :class:`~repro.obs.attribution.LatencyAttributor` per shard —
         they receive the shard's lifecycle events (virtual timestamps)
         as a direct tap.
+
+        Every worker's dispatch loop (and, paced, the arrival replay)
+        runs as a coroutine on one event loop in the calling thread, so
+        selectors and observers are only ever called from this thread.
         """
         if auditors is not None and len(auditors) != self._num_shards:
             raise SimulationError("need one auditor entry per shard")
         if attributors is not None and len(attributors) != self._num_shards:
             raise SimulationError("need one attributor entry per shard")
+        selectors = self._build_selectors(selector_factory)
 
-        generator = WorkloadGenerator(trace, self._slo_ms, pattern, seed=self._seed)
         if arrivals is None:
-            arrivals = generator.sample()
-        submitted = int(arrivals.shape[0])
-
-        if self._load_probe is not None:
-            probe = self._load_probe
+            arrivals = WorkloadGenerator(
+                trace, self._slo_ms, pattern, seed=self._seed
+            ).sample()
         else:
-            horizon = trace.duration_ms - 1e-9
-
-            def probe(t_ms: float, _trace=trace, _horizon=horizon) -> float:
-                return _trace.load_at(min(max(t_ms, 0.0), _horizon))
-
-        self._serve_probe = probe
-
-        context = SelectorContext(
-            model_set=self._model_set,
-            slo_ms=self._slo_ms,
-            num_workers=self._total_workers,
-            max_batch_size=self._max_batch_size,
-        )
+            arrivals = sorted_arrivals(arrivals)
+        submitted = int(arrivals.shape[0])
+        self._anticipated_load = OracleLoadMonitor(trace).anticipated_load_qps
 
         # Global round-robin: query i -> worker i mod G; worker g -> shard
         # g mod S.  Each worker's stream is a pure function of its global
         # index.
         total = self._total_workers
-        shards: List[_Shard] = []
-        workers_by_gid: List[_WorkerState] = []
-        for gid in range(total):
-            stream = arrivals[gid::total].tolist()
-            workers_by_gid.append(
-                _WorkerState(
-                    gid, stream, self._latency_model.clone(self._seed + 17 * gid)
-                )
+        workers_by_gid = [
+            _WorkerState(
+                gid,
+                arrivals[gid::total].tolist(),
+                self._latency_model.clone(self._seed + 17 * gid),
             )
-        for s in range(self._num_shards):
-            group = [w for w in workers_by_gid if w.gid % self._num_shards == s]
-            shard = _Shard(s, group)
-            selector = selector_factory(s)
-            selector.bind(context)
+            for gid in range(total)
+        ]
+        shards = [
+            _Shard(s, workers_by_gid[s::self._num_shards])
+            for s in range(self._num_shards)
+        ]
+        for shard, selector in zip(shards, selectors):
             shard.selector = selector
             if auditors is not None:
-                shard.auditor = auditors[s]
+                shard.auditor = auditors[shard.index]
             if attributors is not None:
-                shard.attributor = attributors[s]
-            shards.append(shard)
+                shard.attributor = attributors[shard.index]
         self._shards = shards
         self._policy_swaps = 0
 
@@ -394,25 +394,10 @@ class ShardedController:
             for w in workers_by_gid:
                 w.released = len(w.arrivals)
 
-        clock = VirtualClock(self._time_scale)
-        self._clock = clock
-        barrier = threading.Barrier(self._num_shards + 1)
-        threads = [
-            threading.Thread(
-                target=self._shard_thread,
-                args=(shard, barrier),
-                name=f"shard-{shard.index}",
-                daemon=True,
-            )
-            for shard in shards
-        ]
-        for thread in threads:
-            thread.start()
-
-        snapshot_stop: Optional[threading.Event] = None
+        self._clock = VirtualClock(self._time_scale)
+        snapshot_stop = threading.Event()
         snapshot_thread: Optional[threading.Thread] = None
         if run_path is not None:
-            snapshot_stop = threading.Event()
 
             def _publish() -> None:
                 while not snapshot_stop.wait(self._snapshot_interval_s):
@@ -425,29 +410,17 @@ class ShardedController:
 
         import time as _time
 
-        # Shard loops only start counting once every loop is up: restart
-        # the clock, then release the barrier, so thread-spawn latency is
-        # not charged to the first arrivals as added latency.
-        clock.restart()
         start_wall = _time.monotonic()
         try:
-            barrier.wait()
-        except threading.BrokenBarrierError:
-            pass  # a shard failed during startup; surfaced below
-        for thread in threads:
-            thread.join()
-        wall = _time.monotonic() - start_wall
-
-        if snapshot_stop is not None:
+            asyncio.run(self._serve_loop(workers_by_gid))
+        finally:
             snapshot_stop.set()
             if snapshot_thread is not None:
                 snapshot_thread.join(timeout=5.0)
-        if run_path is not None:
-            for w in workers_by_gid:
-                w.tracer.close()
-        for shard in shards:
-            if shard.error is not None:
-                raise shard.error
+            if run_path is not None:
+                for w in workers_by_gid:
+                    w.tracer.close()
+        wall = _time.monotonic() - start_wall
         if run_path is not None:
             self._write_snapshots(run_path)
 
@@ -493,55 +466,63 @@ class ShardedController:
             policy_swaps=self._policy_swaps,
         )
 
-    # ------------------------------------------------------------------
-    # Shard event loops
-    # ------------------------------------------------------------------
-    def _shard_thread(self, shard: _Shard, barrier: threading.Barrier) -> None:
-        loop = asyncio.new_event_loop()
-        try:
-            asyncio.set_event_loop(loop)
-            for w in shard.workers:
-                w.event = asyncio.Event()
-            barrier.wait()
-            loop.run_until_complete(self._shard_main(shard))
-        except BaseException as exc:  # surfaced by serve() after join
-            shard.error = exc
-            try:
-                barrier.abort()
-            except Exception:
-                pass
-        finally:
-            loop.close()
+    def _build_selectors(
+        self, selector_factory: Callable[[int], ModelSelector]
+    ) -> List[ModelSelector]:
+        """One bound per-worker-queue selector per shard, in shard order."""
+        context = SelectorContext(
+            model_set=self._model_set,
+            slo_ms=self._slo_ms,
+            num_workers=self._total_workers,
+            max_batch_size=self._max_batch_size,
+        )
+        selectors = []
+        for index in range(self._num_shards):
+            selector = selector_factory(index)
+            if selector.queue_scope is QueueScope.CENTRAL:
+                raise SimulationError(
+                    f"selector {selector.name} needs a central queue; the "
+                    "runtime serves per-worker queues only (use the "
+                    "simulator for central-queue baselines)"
+                )
+            selector.bind(context)
+            selectors.append(selector)
+        return selectors
 
-    async def _shard_main(self, shard: _Shard) -> None:
-        tasks = [
-            asyncio.ensure_future(self._run_worker(shard, w))
-            for w in shard.workers
+    # ------------------------------------------------------------------
+    # The event loop: worker dispatch coroutines plus the paced replay
+    # ------------------------------------------------------------------
+    async def _serve_loop(self, workers: List[_WorkerState]) -> None:
+        shards = self._shards
+        coros = [
+            self._run_worker(shards[w.gid % self._num_shards], w)
+            for w in workers
         ]
         if self._paced:
-            tasks.append(asyncio.ensure_future(self._replay(shard)))
-        await asyncio.gather(*tasks)
+            for w in workers:
+                w.event = asyncio.Event()
+            coros.append(self._replay(workers))
+        # Virtual time starts once the loop is up, so loop start-up is
+        # never charged to the first arrivals as added latency.
+        self._clock.restart()
+        await asyncio.gather(*coros)
 
-    async def _replay(self, shard: _Shard) -> None:
-        """Release the shard's arrivals at their scaled wall times.
+    async def _replay(self, workers: List[_WorkerState]) -> None:
+        """Release every arrival at its scaled wall time, in global order.
 
-        One coroutine per shard walks the shard's merged arrival
-        schedule; each release appends nothing (workers already know
-        their streams) — it only advances the worker's ``released``
-        watermark and sets its event, waking the dispatch loop.
+        Global query ``i`` is worker ``i mod G``'s ``i div G``-th
+        arrival, so walking ``i`` visits the sorted global schedule
+        without materialising it.  A release appends nothing (workers
+        already know their streams) — it only advances the worker's
+        ``released`` watermark and sets its event, waking the dispatch
+        loop.
         """
-        import heapq
-
-        clock = self._clock
-        scale = self._time_scale
-
-        def stream(worker: _WorkerState):
-            for k, t in enumerate(worker.arrivals):
-                yield (t, worker.gid, k, worker)
-
-        schedule = heapq.merge(*(stream(w) for w in shard.workers))
-        for t, _gid, k, w in schedule:
-            delay_s = (t - clock.now_ms()) * scale / 1000.0
+        wall_s_until = self._clock.wall_s_until
+        total = len(workers)
+        for i in range(sum(len(w.arrivals) for w in workers)):
+            k, gid = divmod(i, total)
+            w = workers[gid]
+            delay_s = wall_s_until(w.arrivals[k])
             if delay_s > 0:
                 await asyncio.sleep(delay_s)
             w.released = k + 1
@@ -552,8 +533,7 @@ class ShardedController:
         arrivals = w.arrivals
         n = len(arrivals)
         paced = self._paced
-        clock = self._clock
-        scale = self._time_scale
+        wall_s_until = self._clock.wall_s_until
         events = 0
         while w.ai < n or w.in_flight is not None:
             next_arrival = arrivals[w.ai] if w.ai < n else _INF
@@ -564,22 +544,20 @@ class ShardedController:
                 if paced:
                     while w.released <= w.ai:
                         w.event.clear()
-                        if w.released > w.ai:
-                            break
                         await w.event.wait()
                 k = w.ai
                 w.ai += 1
                 self._on_arrival(shard, w, k, next_arrival)
             else:
                 if paced:
-                    delay_s = (next_done - clock.now_ms()) * scale / 1000.0
+                    delay_s = wall_s_until(next_done)
                     if delay_s > 0:
                         await asyncio.sleep(delay_s)
                 self._on_batch_done(shard, w, next_done)
             events += 1
             if not paced and (events & 2047) == 0:
-                # Cooperative yield so sibling workers on this shard's
-                # loop interleave even when no sleep is ever awaited.
+                # Cooperative yield so sibling workers interleave even
+                # when no sleep is ever awaited.
                 await asyncio.sleep(0)
         assert not w.queue, "worker exited with queued queries"
 
@@ -633,7 +611,7 @@ class ShardedController:
         head = w.queue[0]
         queue_len = len(w.queue)
         slack_ms = head.slack_at(t)
-        anticipated = self._probe(t)
+        anticipated = self._anticipated_load(t)
         action = shard.selector.select(
             queue_length=queue_len,
             earliest_slack_ms=slack_ms,
@@ -782,9 +760,6 @@ class ShardedController:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _probe(self, t_ms: float) -> float:
-        return self._serve_probe(t_ms)
-
     def _write_snapshots(self, run_path) -> None:
         from repro.obs.aggregate import write_live_snapshot
 

@@ -59,7 +59,27 @@ from repro.sim.monitor import LoadMonitor, OracleLoadMonitor
 from repro.sim.queries import Query
 from repro.selectors.base import ModelSelector, QueueScope, SelectorContext
 
-__all__ = ["QueueDiscipline", "SimulationConfig", "Simulation"]
+__all__ = ["QueueDiscipline", "SimulationConfig", "Simulation", "sorted_arrivals"]
+
+
+def sorted_arrivals(arrival_times: np.ndarray) -> np.ndarray:
+    """Arrival timestamps as a sorted 1-D float64 array.
+
+    Both serving entry points (``Simulation.run`` and
+    ``ShardedController.serve``) number queries by position, so an
+    unsorted array must be sorted before query ``i`` is assigned.  Trace
+    sampling and the experiment runner's shared realizations are already
+    sorted; a linear monotonicity check skips the O(n log n) re-sort (and
+    its copy) in that common case.
+    """
+    arrivals = np.ascontiguousarray(arrival_times, dtype=np.float64)
+    if arrivals.ndim != 1:
+        raise SimulationError(
+            f"arrival_times must be 1-D, got shape {arrivals.shape}"
+        )
+    if arrivals.size > 1 and np.any(arrivals[1:] < arrivals[:-1]):
+        arrivals = np.sort(arrivals)
+    return arrivals
 
 
 class QueueDiscipline(enum.Enum):
@@ -171,16 +191,7 @@ class Simulation:
             if pattern is None:
                 pattern = PoissonArrivals(max(trace.mean_qps, 1e-9))
             arrival_times = sample_arrival_times(trace, pattern, rng)
-        # Both trace sampling and the experiment runner's shared arrival
-        # realizations are already sorted; a linear monotonicity check
-        # skips the O(n log n) re-sort (and its copy) in that common case.
-        arrivals = np.ascontiguousarray(arrival_times, dtype=np.float64)
-        if arrivals.ndim != 1:
-            raise SimulationError(
-                f"arrival_times must be 1-D, got shape {arrivals.shape}"
-            )
-        if arrivals.size > 1 and np.any(arrivals[1:] < arrivals[:-1]):
-            arrivals = np.sort(arrivals)
+        arrivals = sorted_arrivals(arrival_times)
 
         if isinstance(selector, ModelSelector):
             selectors: List[ModelSelector] = [selector] * cfg.num_workers

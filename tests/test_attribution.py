@@ -490,30 +490,39 @@ class TestPlumbing:
 class TestRuntimeAttribution:
     def test_controller_attribution_and_snapshots(self, tmp_path):
         from repro.profiles.zoo import build_image_model_set
-        from repro.runtime.controller import CentralController
+        from repro.runtime import ShardedController
 
-        attributor = LatencyAttributor(slo_ms=150.0, record_queries=True)
-        controller = CentralController(
+        attributors = [
+            LatencyAttributor(slo_ms=150.0, record_queries=True)
+            for _ in range(2)
+        ]
+        controller = ShardedController(
             build_image_model_set(),
             slo_ms=150.0,
-            num_workers=2,
+            num_shards=2,
+            workers_per_shard=1,
             time_scale=0.01,
-            tracer=attributor,
-            snapshot_dir=str(tmp_path),
+            run_dir=str(tmp_path),
             snapshot_interval_s=0.05,
         )
         report = controller.serve(
-            JellyfishPlusSelector(), LoadTrace.constant(40.0, 1_500.0)
+            lambda shard: GreedyDeadlineSelector(),
+            LoadTrace.constant(40.0, 1_500.0),
+            attributors=attributors,
         )
-        snap = attributor.to_json_dict()
-        assert snap["totals"]["queries"] == report.submitted
-        for b in attributor.breakdowns:
+        assert report.submitted > 0
+        assert sum(
+            a.to_json_dict()["totals"]["queries"] for a in attributors
+        ) == report.submitted
+        for b in (b for a in attributors for b in a.breakdowns):
             total = (
                 b.queue_wait_ms + b.batch_wait_ms + b.service_ms + b.drop_ms
             )
             assert total == b.response_ms
-        # The snapshot thread published at least the final frame.
-        feeds = list(tmp_path.glob("attribution-*.json"))
-        assert feeds
-        published = json.loads(feeds[0].read_text())
-        assert published["totals"]["queries"] == report.submitted
+        # Each shard published at least its final frame.
+        feeds = sorted(tmp_path.glob("attribution-*.json"))
+        assert len(feeds) == 2
+        published = [json.loads(p.read_text()) for p in feeds]
+        assert sum(
+            frame["totals"]["queries"] for frame in published
+        ) == report.submitted
