@@ -107,8 +107,7 @@ def emit(
 
     When ``data`` is given, a machine-readable ``<name>.json`` is written
     alongside the text table so the performance trajectory can be diffed
-    across commits instead of scraped from ASCII (and appended to the
-    benchmark history log by ``ramsis bench-history``).  With ``root=True``
+    across commits instead of scraped from ASCII.  With ``root=True``
     the same payload is also written to ``BENCH_<name>.json`` at the repo
     root — the convention for headline numbers that should be visible
     without digging into ``benchmarks/out/``.

@@ -22,7 +22,7 @@ what opting in costs.
 import os
 import time
 
-from benchmarks._common import bench_scale, emit
+from benchmarks._common import bench_scale, emit, host_metadata
 from repro.arrivals.distributions import PoissonArrivals
 from repro.arrivals.processes import sample_arrival_times
 from repro.arrivals.traces import LoadTrace
@@ -206,6 +206,7 @@ def test_attribution_overhead(benchmark):
             ),
         ),
         data={
+            "host": host_metadata(),
             "load_qps": LOAD_QPS,
             "workers": WORKERS,
             "duration_ms": DURATION_MS,

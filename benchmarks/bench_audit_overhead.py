@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from benchmarks._common import bench_scale, emit
+from benchmarks._common import bench_scale, emit, host_metadata
 from repro.arrivals.distributions import PoissonArrivals
 from repro.arrivals.processes import sample_arrival_times
 from repro.arrivals.traces import LoadTrace
@@ -121,6 +121,7 @@ def test_audit_overhead(benchmark):
             ),
         ),
         data={
+            "host": host_metadata(),
             "load_qps": LOAD_QPS,
             "workers": WORKERS,
             "duration_ms": DURATION_MS,

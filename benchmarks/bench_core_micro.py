@@ -176,8 +176,8 @@ def test_core_micro_report():
     """One self-timed pass over the core stages, persisted for trend diffs.
 
     The pytest-benchmark fixtures above give precise per-stage numbers
-    interactively; this table is the machine-readable record that
-    ``ramsis bench-history`` tracks across commits.
+    interactively; this table is the machine-readable record for
+    diffing across commits.
     """
     config = _config()
     timings = {}

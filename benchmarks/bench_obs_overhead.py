@@ -17,7 +17,7 @@ would misread as overhead).  The recorded table under ``benchmarks/out/``
 import os
 import time
 
-from benchmarks._common import bench_scale, emit
+from benchmarks._common import bench_scale, emit, host_metadata
 from repro.arrivals.distributions import PoissonArrivals
 from repro.arrivals.processes import sample_arrival_times
 from repro.arrivals.traces import LoadTrace
@@ -173,6 +173,7 @@ def test_tracing_overhead(benchmark):
             ),
         ),
         data={
+            "host": host_metadata(),
             "load_qps": LOAD_QPS,
             "workers": WORKERS,
             "duration_ms": DURATION_MS,

@@ -20,8 +20,7 @@ the serial pass by ``RAMSIS_BENCH_MIN_SPEEDUP`` (default 2x at bench
 scale, 1.2x at ``RAMSIS_BENCH_SCALE=smoke``).
 
 Headline numbers land in ``benchmarks/out/policy_bank.{txt,json}`` and
-``BENCH_policy_bank.json`` at the repo root, regression-gated in CI via
-``ramsis bench-history --check``.
+``BENCH_policy_bank.json`` at the repo root.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ Four measurements, gated where the result is deterministic:
 2. **Dispatch-loop overhead vs. the fast simulator engine** — the same
    arrival stream, models and policy through the discrete-event fast
    engine and through a single sharded runtime (no auditors in either);
-   the ratio isolates what the asyncio dispatch path costs over the
-   engine's raw event loop.
+   both run the same event kernel, so the ratio isolates what the
+   runtime shell (selector set-up, per-worker latency clones, report)
+   costs over the simulator's.
 3. **Paced added latency** — a paced run on the scaled wall clock; p99 of
    how far (wall ms) batch completions lag their virtual instants.
 4. **Layout invariance** — re-served with a different shard topology, the
@@ -34,7 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List
 
-from benchmarks._common import bench_workers, emit
+from benchmarks._common import bench_workers, emit, host_metadata
 from repro.arrivals.traces import LoadTrace, synthesize_twitter_trace
 from repro.core.config import WorkerMDPConfig
 from repro.core.generator import generate_policy
@@ -288,6 +289,7 @@ def test_runtime_stress():
         f"{processes * NUM_SHARDS} shard auditors",
     ]
     data = {
+        "host": host_metadata(),
         "processes": processes,
         "num_shards": NUM_SHARDS,
         "workers_per_shard": WORKERS_PER_SHARD,

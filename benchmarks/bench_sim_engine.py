@@ -28,7 +28,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from benchmarks._common import bench_scale, emit
+from benchmarks._common import bench_scale, emit, host_metadata
 from repro.arrivals.distributions import PoissonArrivals
 from repro.arrivals.processes import sample_arrival_times
 from repro.arrivals.traces import LoadTrace
@@ -182,6 +182,7 @@ def test_event_loop_throughput():
             f"speedup {row['speedup']:.2f}x"
         )
     data = {
+        "host": host_metadata(),
         "workers": WORKERS,
         "qps": qps,
         "duration_ms": duration_ms,

@@ -20,8 +20,7 @@ and then gates the **tensorized solver backend** end-to-end:
 - a many-model MD-grid cell (M = 60 at bench scale) far past what the
   loop backend solves comfortably must converge on the tensor backend.
 
-Headline numbers land in ``BENCH_state_space.json`` at the repo root and
-are regression-gated in CI via ``ramsis bench-history --check``.
+Headline numbers land in ``BENCH_state_space.json`` at the repo root.
 """
 
 import os
@@ -30,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks._common import emit
+from benchmarks._common import emit, host_metadata
 from repro.arrivals.distributions import PoissonArrivals
 from repro.core.config import (
     BatchingMode,
@@ -389,6 +388,7 @@ def test_solver_gate_report(benchmark, solver_gate, scale_demo):
             "per_sweep_speedup": demo["per_sweep_speedup"],
         },
         "scale": "smoke" if _smoke() else "bench",
+        "host": host_metadata(),
     }
     emit(
         "state_space",

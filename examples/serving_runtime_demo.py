@@ -5,8 +5,9 @@ The paper evaluates a real client-server prototype next to its simulator.
 This example runs the in-process equivalent: a paced ShardedController
 with one shard of four workers replays the trace on a compressed wall
 clock, round-robins queries onto per-worker queues, and "executes"
-inference by sleeping the sampled latency — every worker a coroutine on
-one asyncio event loop.  The same policy is then run through the
+inference by holding each completion until its sampled latency has
+elapsed on that clock — all workers on the simulator's event kernel in
+one thread.  The same policy is then run through the
 discrete-event simulator to show the two agree — the runtime slightly
 beats the simulator because real executions usually finish ahead of the
 planned p95 latency (§7.3.1's finding, reproduced).

@@ -8,7 +8,8 @@ conversions so no module hand-rolls a ``/ 1000.0``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 MS_PER_SECOND = 1000.0
 
@@ -82,6 +83,17 @@ def mean(samples: Iterable[float]) -> float:
     if count == 0:
         raise ValueError("mean of empty sequence")
     return total / count
+
+
+def exact_count_sum(counts: Mapping[float, int]) -> float:
+    """``sum(value * n)`` over ``counts``, exactly rounded once.
+
+    The result is the float nearest the exact sum — the value
+    ``math.fsum`` returns over every value repeated ``n`` times — so it
+    does not depend on the order in which the values were counted.  The
+    exact arithmetic costs one rational product per distinct value.
+    """
+    return float(sum(Fraction(value) * n for value, n in counts.items()))
 
 
 def format_pct(value: float, digits: int = 2) -> str:

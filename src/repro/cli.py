@@ -15,7 +15,6 @@ plot.py            ``ramsis report --trace real ...``
 (observability)    ``ramsis trace --m RAMSIS --load 40 --out-dir obs``
 (live audit)       ``ramsis audit --load 40 --workers 2 --out-dir audit``
 (run reports)      ``ramsis report --run-dir run0 [--html]``
-(bench history)    ``ramsis bench-history --check``
 (tail attribution) ``ramsis explain --run-dir run0 [--json]``
 (live view)        ``ramsis top --run-dir run0 [--once]``
 =================  ====================================================
@@ -406,41 +405,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_history(args: argparse.Namespace) -> int:
-    """Track benchmark results over time and gate on regressions.
-
-    Appends every ``<out-dir>/*.json`` benchmark result to the history
-    log (one JSON line per benchmark per invocation), then — with
-    ``--check`` — compares each benchmark's latest entry against its
-    previous one and exits non-zero when a tracked metric regressed
-    beyond ``--tolerance``.  ``--no-append`` checks the existing history
-    without recording a new generation.
-    """
-    from repro.obs.report import append_bench_history, check_bench_history
-
-    out_dir = Path(args.out_dir)
-    history = (
-        Path(args.history) if args.history else out_dir / "history.jsonl"
-    )
-    if not args.no_append:
-        entries = append_bench_history(out_dir, history_path=history)
-        print(f"recorded {len(entries)} benchmark result(s) in {history}")
-        for entry in entries:
-            log.debug("recorded %s", entry["bench"])
-    if not args.check:
-        return 0
-    regressions = check_bench_history(history, tolerance=args.tolerance)
-    if not regressions:
-        print(
-            f"no regressions beyond {args.tolerance * 100:g}% tolerance"
-        )
-        return 0
-    print(f"{len(regressions)} regression(s) beyond {args.tolerance * 100:g}%:")
-    for regression in regressions:
-        print(f"  {regression.describe()}")
-    return 1
-
-
 def _explain_attributor(run_dir: Path, slo: Optional[float]):
     """The run's attribution, preferring the merged artifact's tracer fold.
 
@@ -757,7 +721,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a trace on the sharded asyncio runtime.
+    """Serve a trace on the sharded serving runtime.
 
     Replays a constant or Twitter-shaped trace across ``--shards``
     controller shards of ``--workers`` workers each, with optional
@@ -1118,39 +1082,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.set_defaults(func=cmd_report)
 
-    bench_history = sub.add_parser(
-        "bench-history",
-        help="append benchmark results to the history log; gate regressions",
-    )
-    bench_history.add_argument(
-        "--out-dir",
-        default="benchmarks/out",
-        help="directory holding the bench *.json results",
-    )
-    bench_history.add_argument(
-        "--history",
-        default=None,
-        help="history log path (default: <out-dir>/history.jsonl)",
-    )
-    bench_history.add_argument(
-        "--check",
-        action="store_true",
-        help="fail (exit 1) when a tracked metric regressed vs. the "
-        "previous recorded generation",
-    )
-    bench_history.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="fractional change tolerated before a regression is flagged",
-    )
-    bench_history.add_argument(
-        "--no-append",
-        action="store_true",
-        help="check the existing history without recording a new generation",
-    )
-    bench_history.set_defaults(func=cmd_bench_history)
-
     explain = sub.add_parser(
         "explain",
         help="attribute a run's tail latency: phases, blame, burn, exemplars",
@@ -1263,7 +1194,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(func=cmd_audit)
 
     serve = sub.add_parser(
-        "serve", help="serve a trace on the sharded asyncio runtime"
+        "serve", help="serve a trace on the sharded serving runtime"
     )
     serve.add_argument("--task", default="image", choices=["image", "text"])
     serve.add_argument("--slo", type=float, default=None)

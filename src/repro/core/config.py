@@ -89,7 +89,11 @@ class WorkerMDPConfig:
     Parameters
     ----------
     model_set:
-        Models pre-loaded on the worker (``M_w``).
+        Models pre-loaded on the worker (``M_w``).  At least one must serve
+        a single query within ``slo_ms``: under either discretization a
+        set that cannot is rejected with
+        :class:`~repro.errors.ProfileError` (model-based grids derive from
+        ``B_w``, and a fixed-length MDP would have no satisfiable action).
     slo_ms:
         Response-latency SLO: maximum time from arrival at the central
         queue to the inference response.
@@ -180,6 +184,8 @@ class WorkerMDPConfig:
             raise ConfigurationError(
                 f"fld_resolution must be >= 1, got {self.fld_resolution}"
             )
+        # Raises ProfileError when no model serves one query within the SLO.
+        self.model_set.max_batch_size(self.slo_ms, cap=1)
 
     # ------------------------------------------------------------------
     # Derived quantities

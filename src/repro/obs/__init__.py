@@ -29,7 +29,7 @@ end-of-run :class:`~repro.sim.metrics.SimulationMetrics`:
   burn-rate alerting, and tail exemplar retention, feeding ``ramsis
   explain`` and the live ``ramsis top`` view;
 - :mod:`repro.obs.report` — run-directory reports (text/HTML) and the
-  benchmark history log with regression checking;
+  live ``ramsis top`` frame;
 - :mod:`repro.obs.log` — package-wide logging setup for the CLI.
 
 Typical use::
@@ -98,9 +98,6 @@ from repro.obs.reconstruct import (
     reconstruct_metrics,
 )
 from repro.obs.report import (
-    Regression,
-    append_bench_history,
-    check_bench_history,
     render_run_report,
     render_top_frame,
     write_run_report,
@@ -140,7 +137,6 @@ __all__ = [
     "PhaseProfiler",
     "PhaseStats",
     "RecordingTracer",
-    "Regression",
     "ShardInfo",
     "ShardTracer",
     "Span",
@@ -148,10 +144,8 @@ __all__ = [
     "TraceSummary",
     "WindowVerdict",
     "WorkerObs",
-    "append_bench_history",
     "attribution_from_jsonl",
     "attribution_from_tracer",
-    "check_bench_history",
     "configure",
     "exact_phase_split",
     "exporters",

@@ -42,7 +42,9 @@ Attachment points:
   ``observe_*`` hooks directly with the same float expressions, so fast
   and reference runs produce identical attribution (and ``engine="auto"``
   keeps using the fast path: attribution alone does not force the
-  reference loop).
+  reference loop).  The hooks are the event kernel's observer protocol
+  (:class:`repro.sim.kernel.KernelObserver`), which the serving
+  runtime's per-shard ``attributors=`` receive too.
 - As a forwarding tracer (``tracer=LatencyAttributor(inner=...)``) for
   the wall-clock runtime or any recorded stream.
 - Offline: :func:`attribution_from_tracer` replays a
@@ -274,8 +276,8 @@ class LatencyAttributor(ForwardingTracer):
     divided by it.  ``alert_sink`` callables receive each
     :class:`~repro.obs.audit.AuditAlert` — pass an existing
     :meth:`GuaranteeAuditor.emit_alert <repro.obs.audit.GuaranteeAuditor>`
-    to feed the auditor's alert stream.  Thread-safe: the wall-clock
-    runtime's worker threads may call the hooks concurrently.
+    to feed the auditor's alert stream.  Thread-safe: the runtime's
+    snapshot publisher reads it while serving calls the hooks.
     """
 
     def __init__(
@@ -423,12 +425,25 @@ class LatencyAttributor(ForwardingTracer):
         self._inner.instant(name, track, ts_ms, category, args)
 
     # ------------------------------------------------------------------
-    # Direct hooks: the engine attachment mode
+    # Direct hooks: the engine attachment mode (the event kernel's
+    # observer protocol, repro.sim.kernel.KernelObserver)
     # ------------------------------------------------------------------
+    def observe_arrival(self, query_id: int, worker: int, t_ms: float) -> None:
+        """Arrivals carry no phase: attribution starts at dispatch."""
+
     def observe_decision(
-        self, worker: int, model: str, batch: int, exec_ms: float
+        self,
+        worker: int,
+        model: str,
+        batch: int,
+        exec_ms: float,
+        t_ms: float = 0.0,
+        queue_len: int = 0,
+        slack_ms: float = 0.0,
+        anticipated_qps: float = 0.0,
     ) -> None:
-        """Fold one serve decision (one batch dispatched)."""
+        """Fold one serve decision (one batch dispatched); the decision
+        context after ``exec_ms`` is not needed here."""
         with self._lock:
             cell = self._decisions.get((worker, model, batch))
             if cell is None:

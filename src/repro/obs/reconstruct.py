@@ -16,10 +16,12 @@ JSONL event log written by
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
+from repro._util import exact_count_sum
 from repro.obs.trace import RecordingTracer
 
 __all__ = ["TraceSummary", "reconstruct_metrics", "reconstruct_from_jsonl"]
@@ -40,10 +42,11 @@ class TraceSummary:
     decisions: int
     batch_total: int
     arrivals: int
-    #: Sum of per-query model accuracy over satisfied completions, folded
-    #: in record order — the same summation
+    #: Sum of per-query model accuracy over satisfied completions,
+    #: exactly rounded from per-accuracy counts — the summation
     #: :class:`~repro.sim.metrics.MetricsCollector` performs, so the
-    #: reconstructed accuracy matches the simulator's float-exactly.
+    #: reconstructed accuracy matches the served run's float-exactly in
+    #: any record order.
     accuracy_sum: float = 0.0
 
     @property
@@ -70,7 +73,7 @@ class TraceSummary:
 
 def _fold(records: Iterable[Mapping]) -> TraceSummary:
     total = satisfied = decisions = batch_total = arrivals = 0
-    accuracy_sum = 0.0
+    satisfied_by_accuracy: Counter = Counter()
     for record in records:
         name = record.get("name")
         kind = record.get("type")
@@ -80,7 +83,7 @@ def _fold(records: Iterable[Mapping]) -> TraceSummary:
                 args = record.get("args", {})
                 if args.get("satisfied"):
                     satisfied += 1
-                    accuracy_sum += float(args.get("accuracy", 0.0))
+                    satisfied_by_accuracy[float(args.get("accuracy", 0.0))] += 1
             elif name == ARRIVAL_EVENT:
                 arrivals += 1
         elif kind == "span" and name == SERVICE_SPAN:
@@ -92,7 +95,7 @@ def _fold(records: Iterable[Mapping]) -> TraceSummary:
         decisions=decisions,
         batch_total=batch_total,
         arrivals=arrivals,
-        accuracy_sum=accuracy_sum,
+        accuracy_sum=exact_count_sum(satisfied_by_accuracy),
     )
 
 

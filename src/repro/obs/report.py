@@ -1,34 +1,19 @@
-"""Run reports and benchmark history tracking.
+"""Run reports.
 
-Two consumers of on-disk observability artifacts:
-
-- **Run reports** (:func:`render_run_report`, ``ramsis report
-  --run-dir``): fold one run directory — worker shards and merged
-  artifacts from :mod:`repro.obs.aggregate`, plus an ``audit.json`` from
-  the live guarantee auditor when present — into a single text or HTML
-  summary: shard inventory, reconstructed lifecycle aggregates, metric
-  highlights, audit verdicts.
-
-- **Bench history** (:func:`append_bench_history` /
-  :func:`check_bench_history`, ``ramsis bench-history``): append every
-  ``benchmarks/out/*.json`` result as one line of
-  ``benchmarks/out/history.jsonl``, then compare each benchmark's latest
-  entry against its previous one.  Directionality is inferred from the
-  metric-key suffix (``*_s``/``*_ms``/``*_seconds``/``*_bytes``/
-  ``*vs_off`` are lower-is-better; ``*_qps``/``*speedup*``/
-  ``*throughput*`` are higher-is-better; anything else is informational
-  and never flagged), and a change worse than the tolerance fraction is
-  a regression — the CI gate that turns one-off bench numbers into a
-  tracked series.
+:func:`render_run_report` (``ramsis report --run-dir``) folds one run
+directory — worker shards and merged artifacts from
+:mod:`repro.obs.aggregate`, plus an ``audit.json`` from the live
+guarantee auditor when present — into a single text or HTML summary:
+shard inventory, reconstructed lifecycle aggregates, metric highlights,
+audit verdicts.  :func:`render_top_frame` renders one frame of the live
+``ramsis top`` view.
 """
 
 from __future__ import annotations
 
 import html
 import json
-import math
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -38,21 +23,7 @@ __all__ = [
     "render_run_report",
     "write_run_report",
     "render_top_frame",
-    "append_bench_history",
-    "check_bench_history",
-    "Regression",
 ]
-
-#: Metric-key suffixes where smaller is better (runtimes, footprints).
-LOWER_IS_BETTER_SUFFIXES: Tuple[str, ...] = (
-    "_s",
-    "_ms",
-    "_seconds",
-    "_bytes",
-    "vs_off",
-)
-#: Metric-key markers where larger is better (rates of useful work).
-HIGHER_IS_BETTER_MARKERS: Tuple[str, ...] = ("_qps", "speedup", "throughput")
 
 
 # ----------------------------------------------------------------------
@@ -409,144 +380,3 @@ def render_top_frame(run_dir: Union[str, Path], limit: int = 12) -> str:
         if len(rows) > limit:
             lines.append(f"  ... {len(rows) - limit} more metrics")
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# Bench history
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Regression:
-    """One tracked benchmark metric that got worse beyond tolerance."""
-
-    bench: str
-    key: str
-    previous: float
-    latest: float
-    #: "lower" or "higher" — which direction is better for this key.
-    better: str
-
-    @property
-    def change(self) -> float:
-        """Fractional change from previous to latest (signed)."""
-        if self.previous == 0:
-            return math.inf
-        return (self.latest - self.previous) / abs(self.previous)
-
-    def describe(self) -> str:
-        """Human-readable one-liner for CLI/CI output."""
-        return (
-            f"{self.bench}:{self.key} {self.previous:g} -> {self.latest:g} "
-            f"({self.change * 100:+.1f}%, {self.better} is better)"
-        )
-
-
-def _flatten(data: Any, prefix: str = "") -> Dict[str, float]:
-    """Numeric leaves of a nested JSON value, dot-keyed; bools excluded."""
-    out: Dict[str, float] = {}
-    if isinstance(data, dict):
-        for key, value in data.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            out.update(_flatten(value, path))
-    elif isinstance(data, (int, float)) and not isinstance(data, bool):
-        value = float(data)
-        if math.isfinite(value):
-            out[prefix] = value
-    return out
-
-
-def metric_direction(key: str) -> Optional[str]:
-    """"lower"/"higher" when ``key`` is a tracked metric, else ``None``."""
-    leaf = key.rsplit(".", 1)[-1]
-    for marker in HIGHER_IS_BETTER_MARKERS:
-        if marker in leaf:
-            return "higher"
-    for suffix in LOWER_IS_BETTER_SUFFIXES:
-        if leaf.endswith(suffix):
-            return "lower"
-    return None
-
-
-def append_bench_history(
-    out_dir: Union[str, Path],
-    history_path: Optional[Union[str, Path]] = None,
-    timestamp: Optional[float] = None,
-) -> List[Dict[str, Any]]:
-    """Append every ``<out_dir>/*.json`` bench result to the history log.
-
-    Each appended line is ``{"bench", "recorded_unix", "data"}``; the
-    history file itself (``history.jsonl``) is skipped.  Returns the
-    entries appended, in bench-name order.
-    """
-    directory = Path(out_dir)
-    history = (
-        directory / "history.jsonl" if history_path is None else Path(history_path)
-    )
-    recorded = time.time() if timestamp is None else float(timestamp)
-    entries: List[Dict[str, Any]] = []
-    for path in sorted(directory.glob("*.json")):
-        if path.resolve() == history.resolve():
-            continue
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            continue
-        entries.append(
-            {"bench": path.stem, "recorded_unix": recorded, "data": data}
-        )
-    if entries:
-        history.parent.mkdir(parents=True, exist_ok=True)
-        with history.open("a", encoding="utf-8") as fh:
-            for entry in entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return entries
-
-
-def check_bench_history(
-    history_path: Union[str, Path], tolerance: float = 0.25
-) -> List[Regression]:
-    """Compare each benchmark's latest history entry against its previous.
-
-    A tracked metric (see :func:`metric_direction`) that moved in the
-    worse direction by more than ``tolerance`` (fractional) is reported.
-    Benchmarks with fewer than two entries, and keys present in only one
-    entry, are skipped — the first recorded run can never regress.
-    """
-    history = Path(history_path)
-    if not history.is_file():
-        return []
-    by_bench: Dict[str, List[Dict[str, Any]]] = {}
-    with history.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            by_bench.setdefault(entry["bench"], []).append(entry)
-
-    regressions: List[Regression] = []
-    for bench in sorted(by_bench):
-        entries = by_bench[bench]
-        if len(entries) < 2:
-            continue
-        previous = _flatten(entries[-2].get("data", {}))
-        latest = _flatten(entries[-1].get("data", {}))
-        for key in sorted(previous.keys() & latest.keys()):
-            better = metric_direction(key)
-            if better is None:
-                continue
-            old, new = previous[key], latest[key]
-            if old == 0:
-                continue
-            change = (new - old) / abs(old)
-            worse = change > tolerance if better == "lower" else change < -tolerance
-            if worse:
-                regressions.append(
-                    Regression(
-                        bench=bench,
-                        key=key,
-                        previous=old,
-                        latest=new,
-                        better=better,
-                    )
-                )
-    return regressions

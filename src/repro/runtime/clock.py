@@ -3,7 +3,7 @@
 The serving runtime paces one :class:`VirtualClock`.  Virtual time is
 measured in milliseconds, like everywhere else in the library; the
 ``time_scale`` factor maps it onto wall-clock seconds (``time_scale = 0.1``
-runs 10x faster than real time).  Each of the runtime's event-loop sleeps
+runs 10x faster than real time).  Each of the runtime's pacing sleeps
 targets an absolute virtual deadline through
 :meth:`VirtualClock.wall_s_until`, so early wake-ups and per-sleep
 overhead never accumulate into pacing drift.
@@ -33,8 +33,8 @@ class VirtualClock:
     def restart(self) -> None:
         """Re-zero the clock (``now_ms`` starts counting from here).
 
-        The sharded controller restarts the clock once its event loop
-        is up, so loop start-up is never charged to the first arrivals.
+        The sharded controller restarts the clock just before serving
+        starts, so its set-up is never charged to the first arrivals.
         """
         self._start = time.monotonic()
 

@@ -13,7 +13,8 @@ from typing import Callable, Optional, Union
 
 from repro.core.policy import Action, Policy
 from repro.core.policy_set import PolicySet
-from repro.selectors.base import ModelSelector, QueueScope
+from repro.errors import SimulationError
+from repro.selectors.base import ModelSelector, QueueScope, SelectorContext
 
 __all__ = ["RamsisSelector"]
 
@@ -59,6 +60,25 @@ class RamsisSelector(ModelSelector):
     def active_policy(self) -> Optional[Policy]:
         """The policy most recently used to serve a decision."""
         return self._active if self._active is not None else self._pinned
+
+    def bind(self, context: SelectorContext) -> None:
+        """Bind, rejecting a policy whose actions name a model missing
+        from ``context.model_set`` (pinned, or any policy of the set).
+
+        The check runs before serving starts, so a malformed policy fails
+        here instead of as a lookup error mid-run — and a hot swap that
+        binds before publishing is refused as a whole.
+        """
+        known = set(context.model_set.names)
+        policies = [self._pinned] if self._pinned is not None else list(self._set)
+        for policy in policies:
+            unknown = {a.model for a in policy.states().values()} - known
+            if unknown:
+                raise SimulationError(
+                    f"policy for {policy.load_qps:g} q/s names model(s) "
+                    f"{sorted(unknown)} missing from the served model set"
+                )
+        super().bind(context)
 
     def current_policy(self, anticipated_load_qps: float) -> Policy:
         """The policy in effect for the anticipated load."""

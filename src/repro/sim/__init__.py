@@ -12,6 +12,8 @@ decisions.  This subpackage is the equivalent component:
 - :mod:`repro.sim.monitor` — the 500 ms moving-average load monitor (§6);
 - :mod:`repro.sim.metrics` — Accuracy Per Satisfied Query and Latency SLO
   Violation Rate (§7 "Performance Metrics");
+- :mod:`repro.sim.kernel` — the per-worker event kernel the simulator's
+  default configuration and the serving runtime both run;
 - :mod:`repro.sim.simulator` — the event loop, supporting both the
   per-worker-queue discipline RAMSIS uses and the central-queue
   eager-worker discipline of the baselines.

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from repro._util import percentile
+from repro._util import exact_count_sum, percentile
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["MetricsCollector", "SimulationMetrics"]
@@ -80,7 +80,9 @@ class MetricsCollector:
         self._track_responses = track_responses
         self._total = 0
         self._satisfied = 0
-        self._accuracy_sum = 0.0
+        #: Satisfied completions per model accuracy: the accuracy sum is
+        #: their exactly rounded total, the same in any completion order.
+        self._satisfied_by_accuracy: Counter = Counter()
         self._response_sum = 0.0
         self._responses: List[float] = []
         self._model_counts: Counter = Counter()
@@ -140,7 +142,7 @@ class MetricsCollector:
         self._model_counts[model_name] += 1
         if satisfied:
             self._satisfied += 1
-            self._accuracy_sum += model_accuracy
+            self._satisfied_by_accuracy[model_accuracy] += 1
         registry = self._registry
         if registry is not None:
             self._h_response.observe(response_ms)
@@ -162,7 +164,7 @@ class MetricsCollector:
         *,
         total: int,
         satisfied: int,
-        accuracy_sum: float,
+        satisfied_by_accuracy: Mapping[float, int],
         response_sum: float,
         responses: List[float],
         model_counts: Mapping[str, int],
@@ -174,15 +176,16 @@ class MetricsCollector:
         The simulator's fast event loop accumulates into local variables
         (skipping per-completion method calls) and hands the totals over
         here, so :meth:`finalize` stays the single source of the derived
-        statistics.  The sums must have been accumulated in completion
-        order with the same operations :meth:`record_completion` performs
-        — then the finalized metrics are float-identical to the
-        per-completion path.  Only meaningful without a registry attached
-        (the fast path never runs with one).
+        statistics.  ``satisfied_by_accuracy`` counts satisfied
+        completions per model accuracy; the response sum must have been
+        accumulated in completion order with the same operations
+        :meth:`record_completion` performs — then the finalized metrics
+        are float-identical to the per-completion path.  Only meaningful
+        without a registry attached (the fast path never runs with one).
         """
         self._total += total
         self._satisfied += satisfied
-        self._accuracy_sum += accuracy_sum
+        self._satisfied_by_accuracy.update(satisfied_by_accuracy)
         self._response_sum += response_sum
         if self._track_responses:
             self._responses.extend(responses)
@@ -200,7 +203,11 @@ class MetricsCollector:
         total = self._total
         satisfied = self._satisfied
         violation = 0.0 if total == 0 else 1.0 - satisfied / total
-        accuracy = 0.0 if satisfied == 0 else self._accuracy_sum / satisfied
+        accuracy = (
+            0.0
+            if satisfied == 0
+            else exact_count_sum(self._satisfied_by_accuracy) / satisfied
+        )
         mean_resp = 0.0 if total == 0 else self._response_sum / total
         if self._track_responses and self._responses:
             # Pre-sort once: percentile() sorts internally, and sorting an

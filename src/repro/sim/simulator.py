@@ -29,9 +29,14 @@ Two interchangeable event-loop engines implement the same semantics:
   deadline arrays instead of an object per query), queue lengths are
   maintained incrementally rather than rebuilt per arrival, deterministic
   execution latencies resolve through a per-worker ``(model, batch) ->
-  exec_ms`` table, and metric accumulation is inlined.  Results are
-  float-identical to the reference loop (asserted by
-  ``tests/test_sim_equivalence.py``).
+  exec_ms`` table, and metric accumulation is inlined.  The default
+  configuration (per-worker queues, round-robin balancer, built-in
+  monitor) runs :func:`repro.sim.kernel.serve_per_worker`, the one
+  per-worker event kernel, which the serving runtime
+  (:class:`~repro.runtime.shard.ShardedController`) runs as well; the
+  central queue and custom balancers or monitors take the general fast
+  body here.  Results are float-identical to the reference loop
+  (asserted by ``tests/test_sim_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.profiles.models import ModelSet
 from repro.sim.latency_model import DeterministicLatency, LatencyModel
+from repro.sim.kernel import serve_per_worker
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.monitor import LoadMonitor, OracleLoadMonitor
 from repro.sim.queries import Query
@@ -577,17 +583,37 @@ class Simulation:
         balancer = cfg.balancer
         balancer.reset()
         latency_model = cfg.latency_model.clone(cfg.seed + 1)
-        model_set = cfg.model_set
         num_workers = cfg.num_workers
         per_worker = discipline is QueueDiscipline.PER_WORKER
-        slo_ms = cfg.slo_ms
-        drop_late = cfg.drop_late
-        track_responses = cfg.track_responses
         # Attribution hooks are guarded by one bool: the detached path
         # pays a single falsy check per event (gated <=1% by
         # benchmarks/bench_attribution.py).
         attributor = cfg.attributor
         attributing = attributor is not None
+        monitor_type = type(monitor)
+        inline_arrivals = monitor_type in (LoadMonitor, OracleLoadMonitor)
+        round_robin = type(balancer) is RoundRobinBalancer
+        if per_worker and round_robin and inline_arrivals:
+            # The default configuration: the shared per-worker kernel (the
+            # serving runtime's event loop too), one latency model shared
+            # by every worker as in the reference loop.
+            return serve_per_worker(
+                arrivals,
+                cfg.slo_ms,
+                cfg.model_set,
+                selectors,
+                [latency_model] * num_workers,
+                monitor,
+                speed=cfg.worker_speed_factors,
+                drop_late=cfg.drop_late,
+                track_responses=cfg.track_responses,
+                observers=[attributor] * num_workers if attributing else None,
+            )
+
+        model_set = cfg.model_set
+        slo_ms = cfg.slo_ms
+        drop_late = cfg.drop_late
+        track_responses = cfg.track_responses
         speed = (
             cfg.worker_speed_factors
             if cfg.worker_speed_factors is not None
@@ -626,7 +652,7 @@ class Simulation:
         # Inlined MetricsCollector accumulators (absorbed at the end).
         m_total = 0
         m_satisfied = 0
-        m_accuracy_sum = 0.0
+        m_satisfied_by_accuracy: dict = {}
         m_response_sum = 0.0
         m_responses: List[float] = []
         m_model_counts: dict = {}
@@ -641,19 +667,16 @@ class Simulation:
         selects = [s.select for s in selectors]
         inf = float("inf")
 
-        # Inline the built-in monitor and balancer (the default, and by far
-        # the most common, configuration): for the stock LoadMonitor /
-        # OracleLoadMonitor the per-event work is a deque append plus window
-        # eviction, and for RoundRobinBalancer a wrapping counter — both
-        # identical to the method implementations, minus the call overhead.
-        # Custom subclasses fall back to the method calls.
-        monitor_type = type(monitor)
-        inline_arrivals = monitor_type in (LoadMonitor, OracleLoadMonitor)
+        # Inline the built-in monitor and balancer: for the stock
+        # LoadMonitor / OracleLoadMonitor the per-event work is a deque
+        # append plus window eviction, and for RoundRobinBalancer a
+        # wrapping counter — both identical to the method
+        # implementations, minus the call overhead.  Custom subclasses
+        # fall back to the method calls.
         inline_anticipated = monitor_type is LoadMonitor
         mon_arrivals, window_ms = monitor.hot_state()
         mon_append = mon_arrivals.append
         mon_popleft = mon_arrivals.popleft
-        round_robin = type(balancer) is RoundRobinBalancer
         rr_next = 0
 
         # The reference loop's `dispatch` closure is inlined once at the
@@ -667,172 +690,6 @@ class Simulation:
         arrival_list.append(inf)  # sentinel: index == total_arrivals
         arrival_index = 0
         queue0 = queues[0]
-
-        if per_worker and round_robin and inline_arrivals:
-            # Specialized loop for the default configuration (per-worker
-            # queues, round-robin balancing, built-in monitor): the
-            # constant-flag branches are resolved here once, and the
-            # incremental queue-length list is not maintained at all —
-            # only a non-round-robin balancer ever reads it.  Same event
-            # semantics and float order as the general loop below.
-            while arrival_index < total_arrivals or completions:
-                next_arrival = arrival_list[arrival_index]
-                next_done = completions[0][0] if completions else inf
-
-                if next_arrival <= next_done:
-                    now = next_arrival
-                    query = arrival_index
-                    arrival_index += 1
-                    mon_append(now)
-                    cutoff = now - window_ms
-                    while mon_arrivals[0] < cutoff:
-                        mon_popleft()
-                    worker = rr_next
-                    rr_next += 1
-                    if rr_next == num_workers:
-                        rr_next = 0
-                    queue = queues[worker]
-                    queue.append(query)
-                    if busy[worker]:
-                        continue
-                else:
-                    now, _seq, worker, model_name, accuracy, served = heappop(
-                        completions
-                    )
-                    count = m_model_counts.get(model_name, 0)
-                    for query in served:
-                        m_total += 1
-                        response_ms = now - arrival_list[query]
-                        m_response_sum += response_ms
-                        if track_responses:
-                            m_responses.append(response_ms)
-                        count += 1
-                        if now <= deadline_list[query]:
-                            m_satisfied += 1
-                            m_accuracy_sum += accuracy
-                            if attributing:
-                                attributor.observe_completion(
-                                    query, worker, model_name,
-                                    response_ms, True, t_ms=now,
-                                )
-                        elif attributing:
-                            attributor.observe_completion(
-                                query, worker, model_name,
-                                response_ms, False, t_ms=now,
-                            )
-                    m_model_counts[model_name] = count
-                    busy[worker] = False
-                    queue = queues[worker]
-                    if not queue:
-                        continue
-
-                # ---- inlined dispatch (specialized) ------------------
-                queue_len = len(queue)
-                if inline_anticipated:
-                    cutoff = now - window_ms
-                    while mon_arrivals and mon_arrivals[0] < cutoff:
-                        mon_popleft()
-                    if not mon_arrivals:
-                        anticipated = 0.0
-                    else:
-                        horizon = now if now < window_ms else window_ms
-                        anticipated = (
-                            len(mon_arrivals) / horizon * 1000.0
-                            if horizon > 0
-                            else 0.0
-                        )
-                else:
-                    anticipated = anticipated_load(now)
-                action = selects[worker](
-                    queue_len,
-                    deadline_list[queue[0]] - now,
-                    now,
-                    anticipated,
-                )
-                batch = action.batch_size
-                if batch > queue_len:
-                    batch = queue_len
-                if batch < 1:
-                    raise SimulationError(
-                        f"selector {selectors[worker].name} "
-                        f"returned batch {batch}"
-                    )
-                if action.is_late and drop_late:
-                    popleft = queue.popleft
-                    while queue:
-                        dropped = popleft()
-                        m_total += 1
-                        m_response_sum += now - arrival_list[dropped]
-                        if track_responses:
-                            m_responses.append(now - arrival_list[dropped])
-                        if attributing:
-                            attributor.observe_completion(
-                                dropped, worker, "<dropped>",
-                                now - arrival_list[dropped], False,
-                                t_ms=now, dropped=True,
-                            )
-                    m_model_counts["<dropped>"] = (
-                        m_model_counts.get("<dropped>", 0) + queue_len
-                    )
-                    continue
-                if batch == queue_len:
-                    served = list(queue)
-                    queue.clear()
-                else:
-                    popleft = queue.popleft
-                    served = [popleft() for _ in range(batch)]
-                model_name = action.model
-                if cache_latency:
-                    memo = exec_memo[worker]
-                    exec_ms = memo.get((model_name, batch))
-                    if exec_ms is None:
-                        exec_ms = (
-                            execution_ms(profile_of[model_name], batch)
-                            * speed[worker]
-                        )
-                        memo[(model_name, batch)] = exec_ms
-                else:
-                    exec_ms = (
-                        execution_ms(profile_of[model_name], batch)
-                        * speed[worker]
-                    )
-                m_decisions += 1
-                m_batch_sum += batch
-                busy[worker] = True
-                sequence += 1
-                heappush(
-                    completions,
-                    (
-                        now + exec_ms,
-                        sequence,
-                        worker,
-                        model_name,
-                        accuracy_of[model_name],
-                        served,
-                    ),
-                )
-                if attributing:
-                    attributor.observe_decision(
-                        worker, model_name, batch, exec_ms
-                    )
-                    for query in served:
-                        attributor.observe_service_start(
-                            query, worker, model_name, batch,
-                            now - arrival_list[query],
-                        )
-
-            metrics = MetricsCollector(track_responses=track_responses)
-            metrics.absorb(
-                total=m_total,
-                satisfied=m_satisfied,
-                accuracy_sum=m_accuracy_sum,
-                response_sum=m_response_sum,
-                responses=m_responses,
-                model_counts=m_model_counts,
-                decisions=m_decisions,
-                batch_sum=m_batch_sum,
-            )
-            return metrics.finalize()
 
         while arrival_index < total_arrivals or completions:
             next_arrival = arrival_list[arrival_index]
@@ -878,6 +735,7 @@ class Simulation:
                     completions
                 )
                 count = m_model_counts.get(model_name, 0)
+                satisfied_before = m_satisfied
                 for query in served:
                     m_total += 1
                     response_ms = now - arrival_list[query]
@@ -887,7 +745,6 @@ class Simulation:
                     count += 1
                     if now <= deadline_list[query]:
                         m_satisfied += 1
-                        m_accuracy_sum += accuracy
                         if attributing:
                             attributor.observe_completion(
                                 query, worker, model_name,
@@ -899,6 +756,11 @@ class Simulation:
                             response_ms, False, t_ms=now,
                         )
                 m_model_counts[model_name] = count
+                if m_satisfied != satisfied_before:
+                    m_satisfied_by_accuracy[accuracy] = (
+                        m_satisfied_by_accuracy.get(accuracy, 0)
+                        + m_satisfied - satisfied_before
+                    )
                 busy[worker] = False
                 if per_worker:
                     queue = queues[worker]
@@ -1014,7 +876,7 @@ class Simulation:
         metrics.absorb(
             total=m_total,
             satisfied=m_satisfied,
-            accuracy_sum=m_accuracy_sum,
+            satisfied_by_accuracy=m_satisfied_by_accuracy,
             response_sum=m_response_sum,
             responses=m_responses,
             model_counts=m_model_counts,

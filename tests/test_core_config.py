@@ -9,7 +9,7 @@ from repro.core.config import (
     TransitionView,
     WorkerMDPConfig,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProfileError
 
 
 class TestValidation:
@@ -52,6 +52,19 @@ class TestValidation:
                 slo_ms=100.0,
                 arrivals=PoissonArrivals(10.0),
                 max_batch_size=0,
+            )
+
+    @pytest.mark.parametrize("discretization", list(Discretization))
+    def test_rejects_slo_no_model_meets(self, tiny_models, discretization):
+        # tiny_models' fastest batch-1 latency is 10 ms.  The explicit
+        # max_queue keeps FLD from deriving B_w: the check itself rejects.
+        with pytest.raises(ProfileError, match="single query"):
+            WorkerMDPConfig(
+                model_set=tiny_models,
+                slo_ms=9.0,
+                arrivals=PoissonArrivals(10.0),
+                max_queue=4,
+                discretization=discretization,
             )
 
 

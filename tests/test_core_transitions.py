@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.mdp as mdp_module
@@ -468,6 +468,13 @@ _config_args = dict(
 )
 
 
+def _assume_feasible(slo, overheads, per_items):
+    """Discard draws where no model serves one query within the SLO:
+    WorkerMDPConfig rejects those (tests/test_core_config.py)."""
+    models = _ladder_with_twin(overheads, per_items)
+    assume(any(m.latency.p95_ms(1) <= slo for m in models))
+
+
 class TestRenewalKernelOracle:
     """Deduplicated rows equal the per-latency quadrature bit for bit."""
 
@@ -507,6 +514,7 @@ class TestRenewalKernelOracle:
     def test_worker_mdp_rows_match_oracle(
         self, family, load, slo, md, overheads, per_items
     ):
+        _assume_feasible(slo, overheads, per_items)
         config = _oracle_config(
             family, load, slo, md, BatchingMode.MAXIMAL, overheads, per_items
         )
@@ -533,6 +541,7 @@ class TestRenewalKernelOracle:
     def test_stacked_seeds_match_oracle(
         self, family, load, slo, md, overheads, per_items, extra_loads
     ):
+        _assume_feasible(slo, overheads, per_items)
         base = _oracle_config(
             family, load, slo, md, BatchingMode.VARIABLE, overheads, per_items
         )

@@ -1,4 +1,4 @@
-"""Run reports and bench-history regression tracking."""
+"""Run reports and the live top frame."""
 
 import json
 
@@ -8,15 +8,10 @@ from repro.cli import main
 from repro.obs.aggregate import ShardTracer, merge_run_dir, write_merged_artifacts
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
-    Regression,
-    append_bench_history,
-    check_bench_history,
-    metric_direction,
     render_run_report,
     render_top_frame,
     write_run_report,
 )
-from repro.obs.report import _flatten
 
 
 def populate_run_dir(run_dir):
@@ -231,107 +226,3 @@ class TestAttributionReport:
         gone = tmp_path / "gone"
         assert main(["top", "--run-dir", str(gone), "--once"]) == 1
         assert "not found" in capsys.readouterr().out
-
-
-class TestFlattenAndDirection:
-    def test_flatten_nested_numeric_leaves(self):
-        flat = _flatten(
-            {
-                "a": {"solve_s": 1.5, "name": "x", "flag": True},
-                "rows": [1, 2],
-                "n": 3,
-            }
-        )
-        assert flat == {"a.solve_s": 1.5, "n": 3.0}
-
-    def test_direction_from_leaf_suffix(self):
-        assert metric_direction("timings.value_iteration_s") == "lower"
-        assert metric_direction("variants.tracer.vs_off") == "lower"
-        assert metric_direction("engine_speedup") == "higher"
-        assert metric_direction("sim.queries_per_s_qps") == "higher"
-        assert metric_direction("accuracy") is None
-
-
-class TestBenchHistory:
-    def _record(self, out_dir, value, history=None):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "micro.json").write_text(json.dumps({"solve_s": value}))
-        return append_bench_history(out_dir, history_path=history)
-
-    def test_append_skips_history_and_invalid_json(self, tmp_path):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "good.json").write_text(json.dumps({"x_s": 1.0}))
-        (out / "bad.json").write_text("{not json")
-        (out / "history.jsonl").write_text('{"bench": "stale"}\n')
-        entries = append_bench_history(out)
-        assert [e["bench"] for e in entries] == ["good"]
-        lines = (out / "history.jsonl").read_text().splitlines()
-        assert len(lines) == 2  # stale line + the one new record
-
-    def test_regression_flagged_beyond_tolerance(self, tmp_path):
-        out = tmp_path / "out"
-        self._record(out, 1.0)
-        self._record(out, 1.5)  # 50% slower
-        (regression,) = check_bench_history(out / "history.jsonl")
-        assert regression.bench == "micro"
-        assert regression.key == "solve_s"
-        assert regression.better == "lower"
-        assert regression.change == pytest.approx(0.5)
-        assert "micro:solve_s" in regression.describe()
-
-    def test_improvement_and_within_tolerance_pass(self, tmp_path):
-        out = tmp_path / "out"
-        self._record(out, 1.0)
-        self._record(out, 1.2)  # within the default 25%
-        assert check_bench_history(out / "history.jsonl") == []
-        self._record(out, 0.5)  # big improvement: never flagged
-        assert check_bench_history(out / "history.jsonl") == []
-
-    def test_higher_is_better_direction(self, tmp_path):
-        out = tmp_path / "out"
-        out.mkdir()
-        for qps in (100.0, 50.0):
-            (out / "sim.json").write_text(json.dumps({"load_qps": qps}))
-            append_bench_history(out)
-        (regression,) = check_bench_history(out / "history.jsonl")
-        assert regression.better == "higher"
-        assert regression.latest == 50.0
-
-    def test_only_latest_pair_compared(self, tmp_path):
-        out = tmp_path / "out"
-        for value in (5.0, 1.0, 1.1):  # old spike, then stable
-            self._record(out, value)
-        assert check_bench_history(out / "history.jsonl") == []
-
-    def test_single_entry_and_zero_baseline_skipped(self, tmp_path):
-        out = tmp_path / "out"
-        self._record(out, 0.0)
-        assert check_bench_history(out / "history.jsonl") == []
-        self._record(out, 3.0)  # previous was exactly 0 → skipped
-        assert check_bench_history(out / "history.jsonl") == []
-
-    def test_missing_history_is_clean(self, tmp_path):
-        assert check_bench_history(tmp_path / "none.jsonl") == []
-
-    def test_untracked_keys_never_flagged(self, tmp_path):
-        out = tmp_path / "out"
-        out.mkdir()
-        for acc in (0.9, 0.1):
-            (out / "fig.json").write_text(json.dumps({"accuracy": acc}))
-            append_bench_history(out)
-        assert check_bench_history(out / "history.jsonl") == []
-
-    def test_cli_append_then_check_gates(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        self._record(out, 1.0)
-        (out / "micro.json").write_text(json.dumps({"solve_s": 2.0}))
-        args = ["bench-history", "--out-dir", str(out), "--check"]
-        assert main(args) == 1
-        assert "regression(s)" in capsys.readouterr().out
-        # Looser tolerance passes without recording a new generation.
-        assert (
-            main(args + ["--no-append", "--tolerance", "2.0"]) == 0
-        )
-        lines = (out / "history.jsonl").read_text().splitlines()
-        assert len(lines) == 2

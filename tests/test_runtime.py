@@ -37,12 +37,6 @@ from repro.sim import (
 #: Aggressive compression keeps runtime tests fast (100x real time).
 FAST = 0.01
 
-#: Metrics folded from float sums whose order differs between the
-#: runtime (per worker, in global worker order) and the fast engine
-#: (global completion order): equal up to the last ulps.
-FOLD_ORDER_FIELDS = ("accuracy_per_satisfied_query", "mean_response_ms")
-FOLD_ORDER_RTOL = 1e-12
-
 
 def controller(models, shards=1, wps=4, **kwargs):
     kwargs.setdefault("latency_model", DeterministicLatency())
@@ -102,10 +96,9 @@ class TestWorkloadGenerator:
 class TestSimulatorParity:
     """Unpaced serving is the simulator's per-worker discipline.
 
-    Round-robin onto per-worker queues, arrival-first tie-breaks and the
-    trace oracle's anticipated load make every decision the fast
-    engine's; only the float sums folded in a different order may differ,
-    and by at most ``FOLD_ORDER_RTOL``.
+    The runtime serves through the fast engine's event kernel, with the
+    trace oracle's anticipated load: every decision and every float sum
+    is the simulator's, so the metrics agree on every field with ``==``.
     """
 
     TRACE = LoadTrace.constant(700.0, 2_000.0)
@@ -145,10 +138,8 @@ class TestSimulatorParity:
         assert served["total_queries"] == arrivals.size > 0
         assert 0.0 < served["violation_rate"] < 0.5  # both outcomes occur
         for field, value in expected.items():
-            if field in FOLD_ORDER_FIELDS:
-                assert abs(served[field] - value) <= FOLD_ORDER_RTOL * abs(value)
-            else:
-                assert served[field] == value, field
+            assert served[field] == value, field
+        assert report.metrics == simulated
 
 
 class TestSingleLoop:

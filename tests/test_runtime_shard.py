@@ -1,17 +1,22 @@
-"""Tests for the sharded asyncio serving tier.
+"""Tests for the sharded serving tier.
 
 The tier's headline property is layout-independence: because query ``i``
-goes to global worker ``i mod G`` and every worker replays a deterministic
-virtual timeline, an ``S x W`` run must produce *float-exactly* the same
-metrics, event feeds and audit verdicts as a ``1 x S*W`` run on the same
-trace — paced or not.  These tests pin that, plus the overload accounting
-identities, attribution exactness, hot-swap atomicity, and the merged-feed
-reconstruction path that ``ramsis report`` / ``ramsis explain`` consume.
+goes to global worker ``i mod G`` and the event kernel runs one
+deterministic virtual timeline, an ``S x W`` run must produce
+*float-exactly* the same metrics, event feeds and audit verdicts as a
+``1 x S*W`` run on the same trace — paced or not.  These tests pin that,
+plus the overload accounting identities, attribution exactness, hot-swap
+atomicity, the merged-feed reconstruction path that ``ramsis report`` /
+``ramsis explain`` consume, and (as properties over random traces) the
+same invariants together with agreement with the simulator.
 """
 
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arrivals.traces import LoadTrace
 from repro.errors import SimulationError
@@ -20,9 +25,13 @@ from repro.obs.attribution import LatencyAttributor
 from repro.obs.audit import GuaranteeAuditor
 from repro.obs.reconstruct import reconstruct_metrics
 from repro.runtime import AdmissionControl, ShardedController
+from repro.core.policy import Action, Policy
+from repro.core.policy_set import PolicySet
 from repro.runtime.shard import DROPPED_MODEL, REJECTED_MODEL
 from repro.selectors import GreedyDeadlineSelector, RamsisSelector
+from repro.sim import OracleLoadMonitor, Simulation, SimulationConfig
 from repro.sim.latency_model import DeterministicLatency
+from tests.conftest import make_tiny_model_set
 
 #: Aggressive compression keeps paced runs fast (100x real time).
 FAST = 0.01
@@ -247,6 +256,187 @@ class TestHotSwap:
         assert swapped.is_set()
         assert report.policy_swaps == 1
         assert report.metrics == baseline.metrics
+
+
+def _ghost_policy(policy):
+    """``policy`` with every action on ``fast`` renamed to an unknown model."""
+    actions = {
+        state: Action("ghost", a.batch_size, a.is_late) if a.model == "fast" else a
+        for state, a in policy.states().items()
+    }
+    return Policy(policy.grid, policy.max_queue, actions, policy.metadata)
+
+
+class TestUnknownModel:
+    """A policy naming a model outside the model set is refused at bind."""
+
+    @pytest.fixture
+    def ghost(self, tiny_config):
+        from repro.core.generator import generate_policy
+
+        return _ghost_policy(generate_policy(tiny_config).policy)
+
+    @pytest.mark.parametrize("as_set", [False, True])
+    def test_serve_rejects_before_serving(self, tiny_models, ghost, as_set):
+        policies = PolicySet([ghost]) if as_set else ghost
+        calls = []
+
+        def factory(shard_index):
+            calls.append(shard_index)
+            return RamsisSelector(policies)
+
+        controller = ShardedController(
+            tiny_models, slo_ms=100.0, num_shards=2, workers_per_shard=2,
+            latency_model=DeterministicLatency(), time_scale=FAST, paced=False,
+        )
+        with pytest.raises(SimulationError, match="ghost"):
+            controller.serve(factory, TRACE)
+        assert calls == [0]  # refused at the first shard's bind
+
+    def test_hot_swap_rejects_atomically(self, tiny_models, ghost):
+        baseline = run_sharded(tiny_models, 2, 2)
+        controller = ShardedController(
+            tiny_models, slo_ms=100.0, num_shards=2, workers_per_shard=2,
+            latency_model=DeterministicLatency(), time_scale=FAST, seed=1,
+            paced=False,
+        )
+        originals, callers = [], []
+
+        class Counting(GreedyDeadlineSelector):
+            def select(self, **kwargs):
+                callers.append(self)
+                if len(callers) == 1:
+                    with pytest.raises(SimulationError, match="ghost"):
+                        controller.hot_swap(mixed)
+                return super().select(**kwargs)
+
+        def original(shard_index):
+            originals.append(Counting())
+            return originals[-1]
+
+        def mixed(shard_index):
+            # Shard 0's selector binds; shard 1's names an unknown model.
+            if shard_index == 0:
+                return Counting()
+            return RamsisSelector(ghost)
+
+        report = controller.serve(original, TRACE)
+        assert report.policy_swaps == 0
+        assert len(callers) == report.metrics.decisions > 1
+        assert {id(c) for c in callers} <= {id(o) for o in originals}
+        assert report.metrics == baseline.metrics
+
+
+#: Four global workers in every layout, so all layouts are comparable.
+LAYOUTS = [(1, 4), (2, 2), (4, 1)]
+
+
+@st.composite
+def serving_cases(draw):
+    """A short random trace plus overload, drop and hot-swap settings."""
+    # Mean gaps from heavy overload (late actions, full queues) to light.
+    scale = draw(st.sampled_from([0.5, 2.0, 8.0]))
+    n = draw(st.integers(0, 80))
+    gaps = draw(st.lists(st.floats(0.0, scale), min_size=n, max_size=n))
+    return dict(
+        arrivals=np.cumsum(np.asarray(gaps, dtype=np.float64)),
+        layout=draw(st.sampled_from(LAYOUTS)),
+        depth=draw(st.none() | st.integers(1, 4)),
+        min_slack=draw(st.none() | st.floats(0.0, 120.0)),
+        drop_late=draw(st.booleans()),
+        swap_at=draw(st.integers(0, 40)),
+    )
+
+
+class TestKernelProperties:
+    """Invariants of the kernel-backed runtime on random traces."""
+
+    @staticmethod
+    def _serve(models, arrivals, layout, admission, drop_late,
+               swap_at=None, attributors=None):
+        shards, wps = layout
+        controller = ShardedController(
+            models, slo_ms=100.0, num_shards=shards, workers_per_shard=wps,
+            latency_model=DeterministicLatency(), time_scale=FAST, seed=1,
+            admission=admission, drop_late=drop_late, paced=False,
+        )
+        calls = []  # "old" / "new": which selectors made each decision
+
+        class Old(GreedyDeadlineSelector):
+            tag = "old"
+
+            def select(self, **kwargs):
+                if self.tag == "old" and len(calls) == swap_at:
+                    controller.hot_swap(lambda s: New())
+                calls.append(self.tag)
+                return super().select(**kwargs)
+
+        class New(Old):
+            tag = "new"
+
+        make = Old if swap_at is not None else GreedyDeadlineSelector
+        duration_ms = float(arrivals[-1]) + 1.0 if arrivals.size else 1.0
+        trace = LoadTrace.constant(100.0, duration_ms)
+        report = controller.serve(
+            lambda s: make(), trace, arrivals=arrivals, attributors=attributors
+        )
+        return report, trace, calls
+
+    @given(case=serving_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_invariants(self, case):
+        tiny_models = make_tiny_model_set()
+        arrivals, layout = case["arrivals"], case["layout"]
+        admission = None
+        if case["depth"] is not None or case["min_slack"] is not None:
+            admission = AdmissionControl(
+                max_queue_depth=case["depth"], min_slack_ms=case["min_slack"]
+            )
+        attributors = [
+            LatencyAttributor(slo_ms=100.0, record_queries=True)
+            for _ in range(layout[0])
+        ]
+        report, trace, calls = self._serve(
+            tiny_models, arrivals, layout, admission, case["drop_late"],
+            swap_at=case["swap_at"], attributors=attributors,
+        )
+        n = arrivals.size
+        assert report.submitted == n
+        assert report.submitted == report.rejected + report.dropped + report.served
+        assert report.metrics.total_queries == n
+        # The swap lands during decision swap_at; every later decision is
+        # the new selectors'.
+        swapped = case["swap_at"] < len(calls)
+        assert report.policy_swaps == int(swapped)
+        old = case["swap_at"] + 1 if swapped else len(calls)
+        assert calls == ["old"] * old + ["new"] * (len(calls) - old)
+
+        # Exactly one terminal event per query id, with an exact split.
+        breakdowns = [b for a in attributors for b in a.breakdowns]
+        assert sorted(b.query_id for b in breakdowns) == list(range(n))
+        for b in breakdowns:
+            assert (b.queue_wait_ms + b.batch_wait_ms + b.service_ms
+                    + b.drop_ms) == b.response_ms
+        assert sum(b.dropped for b in breakdowns) == report.rejected + report.dropped
+
+        # The swap and the layout change nothing.
+        for other in LAYOUTS:
+            plain, _, _ = self._serve(
+                tiny_models, arrivals, other, admission, case["drop_late"]
+            )
+            assert plain.metrics == report.metrics
+
+        if admission is None:
+            simulated = Simulation(
+                SimulationConfig(
+                    model_set=tiny_models, slo_ms=100.0, num_workers=4,
+                    latency_model=DeterministicLatency(),
+                    monitor=OracleLoadMonitor(trace),
+                    drop_late=case["drop_late"],
+                )
+            ).run(GreedyDeadlineSelector(), trace, arrival_times=arrivals,
+                  engine="fast")
+            assert simulated == report.metrics
 
 
 class TestAudit:

@@ -1,9 +1,12 @@
 """Tests for simulator components: queries, latency models, monitor, metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.arrivals.traces import LoadTrace
+from repro.obs.reconstruct import _fold
 from repro.sim.latency_model import DeterministicLatency, StochasticLatency
 from repro.sim.metrics import MetricsCollector
 from repro.sim.monitor import LoadMonitor, OracleLoadMonitor
@@ -149,6 +152,44 @@ class TestMetricsCollector:
         c.record_completion("b", 0.5, 1.0, False)
         share = c.finalize().model_share()
         assert share == {"a": pytest.approx(1 / 3), "b": pytest.approx(2 / 3)}
+
+    def test_accuracy_independent_of_completion_order(self):
+        """Any completion order folds to the bit-identical accuracy.
+
+        The satisfied accuracies are summed exactly (rounded once), both
+        by the collector and by the trace fold, so a shard layout or a
+        merged-feed order never moves the last ulp.
+        """
+        rng = np.random.default_rng(7)
+        accuracies = [0.1, 0.2, 0.3, 0.7, 0.61, 0.755]
+        completions = [
+            (f"m{k}", accuracies[k], bool(rng.random() < 0.8))
+            for k in rng.integers(0, len(accuracies), size=500)
+        ]
+        satisfied = [acc for _, acc, ok in completions if ok]
+        exact = math.fsum(satisfied) / len(satisfied)
+
+        sequential, folded = set(), set()
+        for _ in range(20):
+            order = rng.permutation(len(completions))
+            c = MetricsCollector()
+            records = []
+            running = 0.0
+            for i in order:
+                name, acc, ok = completions[i]
+                c.record_completion(name, acc, 1.0, satisfied=ok)
+                records.append({
+                    "type": "instant",
+                    "name": "completion",
+                    "args": {"satisfied": ok, "accuracy": acc},
+                })
+                running += acc if ok else 0.0
+            sequential.add(running)
+            assert c.finalize().accuracy_per_satisfied_query == exact
+            folded.add(_fold(records).accuracy_per_satisfied_query)
+        assert folded == {exact}
+        # The orders drawn do move a naive running sum.
+        assert len(sequential) > 1
 
     def test_summary_string(self):
         c = MetricsCollector()
